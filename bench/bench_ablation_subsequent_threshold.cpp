@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
       options.heuristic = svmcore::Heuristic::parse(name);
       options.heuristic.fixed_subsequent_threshold = fixed;
       const auto result = svmcore::train(train, params, options);
-      std::uint64_t passes = 0;
-      for (const auto& s : result.rank_stats) passes = std::max(passes, s.shrink_passes);
+      // Shrink passes run in lockstep on every rank; read them from rank 0.
+      const svmobs::MetricsRegistry& rank0 = result.rank_metrics[0];
+      const auto passes = static_cast<long long>(rank0.value("solver.shrink_passes"));
       table.add_row({name, fixed ? "fixed" : "adaptive", svmutil::TextTable::integer(passes),
                      svmutil::TextTable::integer(result.samples_shrunk),
                      svmutil::TextTable::integer(

@@ -3,15 +3,19 @@
 // solver configurations at container scale and prints the same rows/series
 // the paper reports, echoing the paper's own numbers for comparison.
 //
-// Measurement caveat (documented in DESIGN.md): this container has one CPU
-// core, so ranks are time-shared threads and wall time cannot drop with p.
-// Scaling rows therefore report, per p: iterations, the slowest rank's
-// kernel-evaluation count (the per-rank work the paper's speedup comes
-// from), wall time, and "modeled s" = per-rank work * lambda + the alpha-
-// beta network model — the quantity whose shape mirrors the paper's curves.
+// Measurement caveat (documented in DESIGN.md): ranks are threads sharing
+// the host's 4 vCPUs, so wall time can drop with p only up to p = 4 and is
+// time-shared beyond. Scaling rows therefore report, per p: iterations, the
+// slowest rank's kernel-evaluation count (the per-rank work the paper's
+// speedup comes from), wall time, and "modeled s" = per-rank work * lambda +
+// the alpha-beta network model — the quantity whose shape mirrors the
+// paper's curves.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,27 +68,52 @@ struct ParsedArgs {
   BenchArgs args;
 };
 
+/// Usage line naming every accepted flag ('!' marks a boolean flag).
+inline std::string usage_line(const std::string& argv0, const std::vector<std::string>& known) {
+  std::string line = "usage: " + argv0.substr(argv0.find_last_of('/') + 1);
+  for (const std::string& k : known)
+    line += k.back() == '!' ? " [--" + k.substr(0, k.size() - 1) + "]" : " [--" + k + " V]";
+  return line + "\n";
+}
+
 /// One-call flag wiring shared by every bench: appends the standard obs +
-/// engine flags (and scale/ranks/quick/eps) to the bench's own flag list,
-/// parses argv, applies --log-level, and fills BenchArgs. This is the single
-/// copy of the with_engine_flags(with_obs_flags(...)) boilerplate.
+/// engine flags (and scale/ranks/quick/eps/help) to the bench's own flag
+/// list, parses argv, applies --log-level, and fills BenchArgs. This is the
+/// single copy of the with_engine_flags(with_obs_flags(...)) boilerplate.
+/// Like perfbench, --help prints the usage line and exits 0, and an unknown
+/// flag or a bad standard flag value prints it to stderr and exits 2.
 inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string> extra) {
-  extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps"});
-  svmutil::CliFlags flags(argc, argv,
-                          svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra))));
-  const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-  const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
-  BenchArgs args;
-  args.scale = flags.get_double("scale", 1.0);
-  args.quick = flags.get_bool("quick");
-  args.eps = flags.get_double("eps", 1e-3);
-  args.trace_out = obs.trace_out;
-  args.metrics_out = obs.metrics_out;
-  args.engine_backend = engine.backend;
-  args.engine_flavor = engine.flavor;
-  if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
-  if (args.quick) args.scale *= 0.25;
-  return ParsedArgs{std::move(flags), std::move(args)};
+  extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps", "help!"});
+  const std::vector<std::string> known =
+      svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra)));
+  const std::string usage = usage_line(argc > 0 ? argv[0] : "bench", known);
+  try {
+    svmutil::CliFlags flags(argc, argv, known);
+    if (flags.get_bool("help")) {
+      std::fputs(usage.c_str(), stdout);
+      std::exit(0);
+    }
+    if (!flags.positional().empty())
+      throw std::invalid_argument("unexpected argument '" + flags.positional()[0] + "'");
+    const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
+    const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
+    BenchArgs args;
+    args.scale = flags.get_double("scale", 1.0);
+    args.quick = flags.get_bool("quick");
+    args.eps = flags.get_double("eps", 1e-3);
+    args.trace_out = obs.trace_out;
+    args.metrics_out = obs.metrics_out;
+    args.engine_backend = engine.backend;
+    args.engine_flavor = engine.flavor;
+    (void)svmkernel::engine_backend_from_string(args.engine_backend);
+    (void)svmkernel::row_flavor_from_string(args.engine_flavor);
+    if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
+    if (args.quick) args.scale *= 0.25;
+    return ParsedArgs{std::move(flags), std::move(args)};
+  } catch (const std::exception& e) {  // unknown flags and unparsable values
+    std::fprintf(stderr, "%s: %s\n%s", argc > 0 ? argv[0] : "bench", e.what(), usage.c_str());
+    std::exit(2);
+  }
 }
 
 inline BenchArgs parse_args(int argc, char** argv) {
@@ -169,7 +198,7 @@ inline void print_scaling_table(const std::vector<ScalingRow>& rows) {
                    svmutil::TextTable::num(row.result.wall_seconds, 2),
                    svmutil::TextTable::num(row.result.modeled_seconds, 3),
                    svmutil::TextTable::num(speedup, 2),
-                   svmutil::TextTable::num(row.result.reconstruction_seconds, 3),
+                   svmutil::TextTable::num(row.result.metrics.value("recon.total_s"), 3),
                    svmutil::TextTable::integer(row.result.samples_shrunk),
                    // KernelEngine work metric: CSR payload traversed by the
                    // batched gamma-update path, summed over ranks. Shrinking

@@ -4,168 +4,18 @@
 // ~10% at 4096 processes for HIGGS) because per-rank reconstruction work is
 // Theta(N/p)*A while the iterative phase loses efficiency more slowly.
 //
-// Second section: the pipelined double-buffered reconstruction ring vs the
-// serial (blocking exchange after compute) ring, at p in {4, 8}. Reported
-// per (dataset, p): reconstruction wall seconds (min over repeats), modeled
-// network seconds of the ring (serial = gross alpha-beta cost, pipelined =
-// gross minus the overlap credit, i.e. the max(compute, comm) charging),
-// the overlap ratio, query scatters per ring step, and a bitwise model
-// parity verdict. Results also land in BENCH_gradrecon.json; with --assert
-// the run exits nonzero unless the pipelined ring is no slower in wall
-// time, strictly cheaper in modeled network time, and bit-identical.
+// Beside the fractions, each row reports the ring's overlap (the share of
+// its modeled exchange seconds hidden behind the block compute) and the
+// query scatters the adaptive orientation saved.
 //
 // Usage: bench_fig8_gradrecon [--scale S] [--ranks a,b,..] [--quick]
-//                             [--repeats R] [--assert]
-#include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 
-namespace {
-
-struct ModeStats {
-  double recon_wall_s = 0.0;   ///< max-over-ranks wall in Algorithm 3, min over repeats
-  double net_modeled_s = 0.0;  ///< modeled ring-exchange seconds after crediting
-  std::uint64_t scatter_builds = 0;  ///< recon query scatters, summed over ranks
-};
-
-struct PipelineReport {
-  std::string dataset;
-  int ranks = 0;
-  ModeStats serial;
-  ModeStats pipelined;
-  double wall_speedup = 0.0;
-  double net_speedup = 0.0;
-  double overlap_ratio = 0.0;       ///< credited / gross modeled ring seconds
-  double scatters_per_step = 0.0;   ///< pipelined scatter builds per rank-step
-  std::uint64_t scatter_builds_saved = 0;
-  std::uint64_t ring_steps = 0;
-  std::uint64_t overlapped_steps = 0;
-  std::uint64_t reconstructions = 0;
-  bool parity_ok = true;
-};
-
-bool models_bit_identical(const svmcore::TrainResult& a, const svmcore::TrainResult& b) {
-  if (a.iterations != b.iterations || a.beta != b.beta || a.converged != b.converged)
-    return false;
-  if (a.model.num_support_vectors() != b.model.num_support_vectors()) return false;
-  for (std::size_t j = 0; j < a.model.num_support_vectors(); ++j)
-    if (a.model.coefficients()[j] != b.model.coefficients()[j]) return false;
-  return true;
-}
-
-PipelineReport compare_modes(const svmdata::Dataset& train, const svmcore::SolverParams& params,
-                             const std::string& dataset, const char* heuristic, int p,
-                             int repeats) {
-  PipelineReport report;
-  report.dataset = dataset;
-  report.ranks = p;
-
-  svmcore::TrainOptions options;
-  options.num_ranks = p;
-  options.heuristic = svmcore::Heuristic::parse(heuristic);
-
-  svmcore::TrainResult serial_result;
-  svmcore::TrainResult pipelined_result;
-  report.serial.recon_wall_s = 1e300;
-  report.pipelined.recon_wall_s = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    options.pipelined_reconstruction = false;
-    serial_result = svmcore::train(train, params, options);
-    report.serial.recon_wall_s =
-        std::min(report.serial.recon_wall_s, serial_result.reconstruction_seconds);
-    options.pipelined_reconstruction = true;
-    pipelined_result = svmcore::train(train, params, options);
-    report.pipelined.recon_wall_s =
-        std::min(report.pipelined.recon_wall_s, pipelined_result.reconstruction_seconds);
-  }
-
-  // Modeled ring network time: the gross alpha-beta cost is identical in both
-  // modes (same blocks circulate the same ring); the pipelined mode keeps
-  // only the part compute could not hide (max(compute, comm) charging).
-  report.serial.net_modeled_s = serial_result.recon_comm_seconds;
-  report.serial.scatter_builds = serial_result.recon_scatter_builds;
-  report.pipelined.net_modeled_s =
-      pipelined_result.recon_comm_seconds - pipelined_result.recon_overlapped_seconds;
-  report.pipelined.scatter_builds = pipelined_result.recon_scatter_builds;
-
-  report.wall_speedup = report.pipelined.recon_wall_s > 0
-                            ? report.serial.recon_wall_s / report.pipelined.recon_wall_s
-                            : 0.0;
-  // Full overlap drives the pipelined net cost to zero; floor the divisor at
-  // 1% of the serial cost so the speedup stays a finite, monotone figure of
-  // merit (capped at 100x) and the JSON holds no infinities.
-  report.net_speedup =
-      report.serial.net_modeled_s > 0
-          ? report.serial.net_modeled_s /
-                std::max(report.pipelined.net_modeled_s, 0.01 * report.serial.net_modeled_s)
-          : 0.0;
-  report.overlap_ratio = pipelined_result.recon_comm_seconds > 0
-                             ? pipelined_result.recon_overlapped_seconds /
-                                   pipelined_result.recon_comm_seconds
-                             : 0.0;
-  report.ring_steps = pipelined_result.recon_ring_steps;
-  report.overlapped_steps = pipelined_result.recon_overlapped_steps;
-  report.reconstructions = pipelined_result.reconstructions;
-  report.scatter_builds_saved = pipelined_result.recon_scatter_builds_saved;
-  const std::uint64_t total_rank_steps =
-      pipelined_result.recon_ring_steps * static_cast<std::uint64_t>(p);
-  report.scatters_per_step =
-      total_rank_steps > 0 ? static_cast<double>(pipelined_result.recon_scatter_builds) /
-                                 static_cast<double>(total_rank_steps)
-                           : 0.0;
-  report.parity_ok = models_bit_identical(serial_result, pipelined_result);
-  return report;
-}
-
-void write_json(const std::vector<PipelineReport>& reports, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"gradrecon_pipeline\",\n  \"runs\": [\n");
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const PipelineReport& r = reports[i];
-    std::fprintf(
-        f,
-        "    {\n"
-        "      \"dataset\": \"%s\",\n"
-        "      \"ranks\": %d,\n"
-        "      \"reconstructions\": %" PRIu64 ",\n"
-        "      \"ring_steps\": %" PRIu64 ",\n"
-        "      \"serial\": {\"recon_wall_s\": %.6f, \"net_modeled_s\": %.9f, "
-        "\"scatter_builds\": %" PRIu64 "},\n"
-        "      \"pipelined\": {\"recon_wall_s\": %.6f, \"net_modeled_s\": %.9f, "
-        "\"scatter_builds\": %" PRIu64 ", \"overlapped_steps\": %" PRIu64 "},\n"
-        "      \"wall_speedup\": %.3f,\n"
-        "      \"net_speedup\": %.3f,\n"
-        "      \"overlap_ratio\": %.4f,\n"
-        "      \"scatter_builds_per_step\": %.2f,\n"
-        "      \"scatter_builds_saved\": %" PRIu64 ",\n"
-        "      \"parity_ok\": %s\n"
-        "    }%s\n",
-        r.dataset.c_str(), r.ranks, r.reconstructions, r.ring_steps, r.serial.recon_wall_s,
-        r.serial.net_modeled_s, r.serial.scatter_builds, r.pipelined.recon_wall_s,
-        r.pipelined.net_modeled_s, r.pipelined.scatter_builds, r.overlapped_steps,
-        r.wall_speedup, r.net_speedup, r.overlap_ratio, r.scatters_per_step,
-        r.scatter_builds_saved, r.parity_ok ? "true" : "false",
-        i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const auto [flags, args] = svmbench::parse_args_with(argc, argv, {"repeats", "assert!"});
-  const int repeats = static_cast<int>(flags.get_double("repeats", args.quick ? 3 : 5));
-  const bool assert_pipeline = flags.get_bool("assert");
+  const auto args = svmbench::parse_args(argc, argv);
 
   svmbench::print_banner(
       "Figure 8 - gradient reconstruction time fraction (Multi5pc)",
@@ -190,107 +40,34 @@ int main(int argc, char** argv) {
       options.num_ranks = p;
       options.heuristic = svmcore::Heuristic::best();
       const auto result = svmcore::train(train, params, options);
-      const double wall_fraction = result.solve_seconds > 0
-                                       ? result.reconstruction_seconds / result.solve_seconds
-                                       : 0.0;
+      // Aggregate registry: seconds are the slowest rank's, counts summed.
+      const svmobs::MetricsRegistry& m = result.metrics;
+      const double recon_s = m.value("recon.total_s");
+      const double wall_fraction = result.solve_seconds > 0 ? recon_s / result.solve_seconds : 0.0;
       // Work fraction is the scale-free proxy: kernel evaluations spent in
-      // Algorithm 3 over all kernel evaluations. Wall fractions on this
-      // 1-core container are distorted by thread time-sharing.
+      // Algorithm 3 over all kernel evaluations. Wall fractions are distorted
+      // by thread time-sharing once p exceeds the host's 4 vCPUs.
       const double work_fraction =
           result.total_kernel_evaluations > 0
-              ? static_cast<double>(result.recon_kernel_evaluations) /
+              ? m.value("recon.kernel_evaluations") /
                     static_cast<double>(result.total_kernel_evaluations)
               : 0.0;
-      const double overlap = result.recon_comm_seconds > 0
-                                 ? result.recon_overlapped_seconds / result.recon_comm_seconds
-                                 : 0.0;
+      const double comm_s = m.value("recon.comm_s");
+      const double overlap = comm_s > 0 ? m.value("recon.overlapped_s") / comm_s : 0.0;
       table.add_row({workload.dataset, svmutil::TextTable::integer(p),
-                     svmutil::TextTable::num(result.reconstruction_seconds, 3),
+                     svmutil::TextTable::num(recon_s, 3),
                      svmutil::TextTable::num(result.solve_seconds, 3),
                      svmutil::TextTable::num(100.0 * wall_fraction, 2),
                      svmutil::TextTable::num(100.0 * work_fraction, 2),
                      svmutil::TextTable::integer(result.reconstructions),
                      svmutil::TextTable::num(100.0 * overlap, 1),
-                     svmutil::TextTable::integer(result.recon_scatter_builds_saved)});
+                     svmutil::TextTable::integer(
+                         static_cast<long long>(m.value("recon.scatter_builds_saved")))});
     }
   }
   table.print();
   std::printf(
       "\nshape to compare with the paper: within each dataset the fraction should not\n"
-      "grow with p (the paper reports it decreasing at large scale).\n\n");
-
-  // --- pipelined vs serial ring --------------------------------------------
-  svmbench::print_banner(
-      "Pipelined vs serial reconstruction ring",
-      "double-buffered Isend/Irecv posted before the block compute; exchange charged "
-      "max(compute, comm) modeled seconds; adaptive min(|omega|, |block|) scatters");
-
-  const std::vector<int> compare_ranks = args.ranks.empty() ? std::vector<int>{4, 8}
-                                                            : args.ranks;
-  // Workloads chosen so the adaptive orientation actually flips (circulating
-  // support blocks smaller than the shrunk sets): the pipelined ring then
-  // does strictly fewer query scatters than the serial one, on top of the
-  // comm overlap — both axes of the comparison are exercised.
-  const struct {
-    const char* dataset;
-    const char* heuristic;
-    double scale_hint;
-  } compare_workloads[] = {{"codrna", "Multi5pc", 0.5}, {"a9a", "Single50pc", 0.5}};
-  std::vector<PipelineReport> reports;
-  for (const auto& workload : compare_workloads) {
-    const auto& entry = svmdata::zoo_entry(workload.dataset);
-    const auto train = svmdata::make_train(entry, workload.scale_hint * args.scale);
-    const auto params = svmbench::params_for(entry, args.eps);
-    for (const int p : compare_ranks) {
-      if (p < 2) continue;  // a 1-rank ring has no exchange to overlap
-      reports.push_back(
-          compare_modes(train, params, workload.dataset, workload.heuristic, p, repeats));
-    }
-  }
-
-  svmutil::TextTable pipe_table({"dataset", "p", "serial wall s", "pipel wall s", "wall x",
-                                 "serial net s", "pipel net s", "net x", "overlap %",
-                                 "scat/step", "scat saved", "parity"});
-  for (const PipelineReport& r : reports)
-    pipe_table.add_row({r.dataset, svmutil::TextTable::integer(r.ranks),
-                        svmutil::TextTable::num(r.serial.recon_wall_s, 4),
-                        svmutil::TextTable::num(r.pipelined.recon_wall_s, 4),
-                        svmutil::TextTable::num(r.wall_speedup, 2),
-                        svmutil::TextTable::num(r.serial.net_modeled_s, 6),
-                        svmutil::TextTable::num(r.pipelined.net_modeled_s, 6),
-                        svmutil::TextTable::num(r.net_speedup, 2),
-                        svmutil::TextTable::num(100.0 * r.overlap_ratio, 1),
-                        svmutil::TextTable::num(r.scatters_per_step, 1),
-                        svmutil::TextTable::integer(r.scatter_builds_saved),
-                        r.parity_ok ? "OK" : "BROKEN"});
-  pipe_table.print();
-  std::printf("\n");
-
-  write_json(reports, "BENCH_gradrecon.json");
-
-  bool ok = true;
-  for (const PipelineReport& r : reports) {
-    if (!r.parity_ok) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s p=%d: serial and pipelined models differ\n",
-                   r.dataset.c_str(), r.ranks);
-      ok = false;
-    }
-    if (r.pipelined.net_modeled_s >= r.serial.net_modeled_s) {
-      std::fprintf(stderr,
-                   "OVERLAP VIOLATION on %s p=%d: pipelined modeled net %.9fs not below "
-                   "serial %.9fs\n",
-                   r.dataset.c_str(), r.ranks, r.pipelined.net_modeled_s,
-                   r.serial.net_modeled_s);
-      ok = false;
-    }
-    if (assert_pipeline && r.pipelined.recon_wall_s > r.serial.recon_wall_s) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION on %s p=%d: pipelined recon wall %.6fs exceeds serial "
-                   "%.6fs\n",
-                   r.dataset.c_str(), r.ranks, r.pipelined.recon_wall_s,
-                   r.serial.recon_wall_s);
-      ok = false;
-    }
-  }
-  return ok ? 0 : 1;
+      "grow with p (the paper reports it decreasing at large scale).\n");
+  return 0;
 }

@@ -1,43 +1,34 @@
-// Microbenchmarks (google-benchmark) for the message-passing substrate: the
-// per-operation costs behind §III's complexity analysis — pt2pt latency,
-// bcast and allreduce vs rank count, ring exchange vs payload — plus the
-// alpha-beta model's predictions for the same operations at paper scale.
+// The message-passing substrate at paper scale: the alpha-beta model's
+// predictions for the operations analysed in §III (p=4096, InfiniBand FDR).
+// The in-process transport's measured per-operation latencies come from
+// perfbench's persistent-world replays instead: mpisim.allreduce_us,
+// mpisim.bcast_us, mpisim.allgatherv_us and mpisim.roundtrip_us
+// (perfbench/METRICS.md).
+//
 // With --assert-obs-overhead the binary instead runs the tracing-overhead
 // guard: an SMO-shaped gamma-update hot loop with the solver's per-iteration
 // trace calls compiled in but the recorder DISABLED must run within 2% of
 // the same loop with no trace calls at all (each disabled call is one
 // relaxed atomic load). Exits non-zero on violation; used by check.sh --obs.
-#include <benchmark/benchmark.h>
-
+//
+// Usage: bench_micro_mpisim [--assert-obs-overhead] [--help]
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "mpisim/spmd.hpp"
+#include "mpisim/netmodel.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
-/// Best-of-`reps` wall seconds for each of two loop bodies, interleaved
-/// A/B/A/B so scheduler noise and frequency drift hit both variants alike;
-/// the minimum is the least-perturbed run of each.
-template <typename A, typename B>
-std::pair<double, double> interleaved_min_seconds(int reps, A&& a, B&& b) {
-  double min_a = 1e300;
-  double min_b = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    svmutil::Timer ta;
-    a();
-    min_a = std::min(min_a, ta.seconds());
-    svmutil::Timer tb;
-    b();
-    min_b = std::min(min_b, tb.seconds());
-  }
-  return {min_a, min_b};
-}
+constexpr const char* kUsage = "usage: bench_micro_mpisim [--assert-obs-overhead] [--help]\n";
 
 /// One SMO-iteration-shaped gamma update over the active block. noinline so
 /// the plain and traced guard loops call the identical code: without it the
@@ -50,7 +41,9 @@ __attribute__((noinline)) void smo_gamma_update(std::vector<double>& gamma,
   const double du = 1e-4 * static_cast<double>(it % 7);
   const double dl = -1e-4 * static_cast<double>(it % 5);
   for (std::size_t i = 0; i < gamma.size(); ++i) gamma[i] += du * k_up[i] + dl * k_low[i];
-  benchmark::DoNotOptimize(gamma.data());
+  // Empty memory barrier: the stores above stay observable, so the
+  // compiler cannot drop or hoist the loop out of the timed region.
+  asm volatile("" : : "r"(gamma.data()) : "memory");
 }
 
 int run_obs_overhead_guard() {
@@ -69,21 +62,25 @@ int run_obs_overhead_guard() {
     k_low[i] = 1.0 / static_cast<double>(kBlock - i);
   }
 
+  // Best of kReps wall seconds for each loop, interleaved plain/traced so
+  // scheduler noise and frequency drift hit both alike; the minimum is the
+  // least-perturbed run of each.
   svmobs::trace_disable();
-  const auto [plain_s, traced_s] = interleaved_min_seconds(
-      kReps,
-      [&] {
-        for (std::uint64_t it = 0; it < kIters; ++it) smo_gamma_update(gamma, k_up, k_low, it);
-      },
-      [&] {
-        for (std::uint64_t it = 0; it < kIters; ++it) {
-          if (svmobs::trace_enabled() && it % 256 == 0)
-            svmobs::trace_begin("smo_batch", "solver");
-          smo_gamma_update(gamma, k_up, k_low, it);
-          svmobs::trace_counter("gap", k_up[it % kBlock]);
-          svmobs::trace_counter("active_local", static_cast<double>(kBlock));
-        }
-      });
+  double plain_s = 1e300;
+  double traced_s = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    svmutil::Timer plain;
+    for (std::uint64_t it = 0; it < kIters; ++it) smo_gamma_update(gamma, k_up, k_low, it);
+    plain_s = std::min(plain_s, plain.seconds());
+    svmutil::Timer traced;
+    for (std::uint64_t it = 0; it < kIters; ++it) {
+      if (svmobs::trace_enabled() && it % 256 == 0) svmobs::trace_begin("smo_batch", "solver");
+      smo_gamma_update(gamma, k_up, k_low, it);
+      svmobs::trace_counter("gap", k_up[it % kBlock]);
+      svmobs::trace_counter("active_local", static_cast<double>(kBlock));
+    }
+    traced_s = std::min(traced_s, traced.seconds());
+  }
 
   const double overhead = traced_s / plain_s - 1.0;
   std::printf("obs overhead guard: plain %.4fs, traced-disabled %.4fs, overhead %+.2f%% "
@@ -92,89 +89,7 @@ int run_obs_overhead_guard() {
   return overhead < 0.02 ? 0 : 1;
 }
 
-void BM_Pt2PtRoundTrip(benchmark::State& state) {
-  const std::size_t doubles = state.range(0);
-  for (auto _ : state) {
-    svmmpi::run_spmd(2, [doubles](svmmpi::Comm& comm) {
-      std::vector<double> payload(doubles, 1.0);
-      if (comm.rank() == 0) {
-        comm.send<double>(payload, 1);
-        benchmark::DoNotOptimize(comm.recv<double>(1));
-      } else {
-        auto got = comm.recv<double>(0);
-        comm.send<double>(got, 0);
-      }
-    });
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * doubles * 16);
-}
-BENCHMARK(BM_Pt2PtRoundTrip)->Arg(8)->Arg(1024)->Arg(65536);
-
-void BM_AllreduceScalar(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    svmmpi::run_spmd(ranks, [](svmmpi::Comm& comm) {
-      for (int i = 0; i < 64; ++i)
-        benchmark::DoNotOptimize(comm.allreduce(1.0, svmmpi::ReduceOp::sum));
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_AllreduceScalar)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_MinlocPair(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    svmmpi::run_spmd(ranks, [](svmmpi::Comm& comm) {
-      for (int i = 0; i < 64; ++i) {
-        const svmmpi::DoubleInt mine{static_cast<double>(comm.rank()), comm.rank()};
-        benchmark::DoNotOptimize(comm.allreduce_minloc(mine));
-      }
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_MinlocPair)->Arg(2)->Arg(8);
-
-void BM_Bcast(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    svmmpi::run_spmd(ranks, [](svmmpi::Comm& comm) {
-      std::vector<double> payload(1024);
-      for (int i = 0; i < 16; ++i) comm.bcast(payload, 0);
-    });
-  }
-}
-BENCHMARK(BM_Bcast)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_RingExchange(benchmark::State& state) {
-  const int ranks = 4;
-  const std::size_t doubles = state.range(0);
-  for (auto _ : state) {
-    svmmpi::run_spmd(ranks, [doubles](svmmpi::Comm& comm) {
-      std::vector<double> block(doubles, 1.0);
-      const int to = (comm.rank() + 1) % ranks;
-      const int from = (comm.rank() - 1 + ranks) % ranks;
-      for (int step = 0; step < ranks - 1; ++step)
-        block = comm.sendrecv<double>(block, to, from);
-    });
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * doubles * 8 *
-                          (ranks - 1) * ranks);
-}
-BENCHMARK(BM_RingExchange)->Arg(1024)->Arg(32768);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // The overhead guard replaces the benchmark run; strip the flag before
-  // benchmark::Initialize (which rejects flags it does not know).
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--assert-obs-overhead") == 0) return run_obs_overhead_guard();
-  }
-
-  // Before the microbenchmarks, print the alpha-beta model's predictions for
-  // the paper-scale operations analysed in §III (p=4096, InfiniBand FDR).
+void print_paper_scale_table() {
   const svmmpi::NetModel model;
   svmutil::TextTable table({"operation", "payload", "p", "modeled time"});
   const auto row = [&](const char* op, const char* payload, int p, double seconds) {
@@ -189,9 +104,26 @@ int main(int argc, char** argv) {
   std::printf("alpha-beta model predictions at paper scale (l=%.1e s, G=%.1e s/B):\n\n",
               model.latency_s, model.seconds_per_byte);
   table.print();
-  std::printf("\n");
+}
 
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool assert_overhead = false;
+  try {
+    const svmutil::CliFlags flags(argc, argv, {"assert-obs-overhead!", "help!"});
+    if (flags.get_bool("help")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (!flags.positional().empty())
+      throw std::invalid_argument("unexpected argument '" + flags.positional()[0] + "'");
+    assert_overhead = flags.get_bool("assert-obs-overhead");
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_micro_mpisim: %s\n%s", e.what(), kUsage);
+    return 2;
+  }
+  if (assert_overhead) return run_obs_overhead_guard();
+  print_paper_scale_table();
   return 0;
 }

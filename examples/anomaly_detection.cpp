@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     svmdata::CsrMatrix P;
     P.add_row(probe);
     const double f = model.decision_value(P.row(0));
-    char name[16];
+    char name[32];  // room for the longest %g, "-1.79769e+308"
     std::snprintf(name, sizeof(name), "(%g,...)", scale);
     table.add_row({name, svmutil::TextTable::num(scale * 2.449, 2),
                    svmutil::TextTable::num(f, 4), f >= 0 ? "normal" : "ANOMALY"});

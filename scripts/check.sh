@@ -2,11 +2,11 @@
 # Tier-1 verification plus sanitizer passes over the layers that need them.
 # Run from the repo root:
 #
-#   scripts/check.sh            # full: tier-1 build+ctest, ASan kernel tests, TSan chaos tests, perf smoke, obs
+#   scripts/check.sh            # full: tier-1 build+ctest, ASan kernel tests, TSan chaos tests, werror, obs
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
 #   scripts/check.sh --asan     # only the ASan kernel/engine/cache tests
 #   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs tests
-#   scripts/check.sh --perf     # only the pipelined-reconstruction perf smoke
+#   scripts/check.sh --werror   # only the warnings-as-errors build of every target
 #   scripts/check.sh --obs      # only the observability end-to-end checks
 #   scripts/check.sh --sched    # only the multi-tenant scheduler checks
 #   scripts/check.sh --simd     # only the SIMD/precision flavor checks
@@ -26,6 +26,11 @@
 # lock-free per-thread trace rings are all cross-thread rendezvous under the
 # simulated MPI world — exactly the code a data-race would corrupt silently
 # in a plain run.
+#
+# The werror pass configures a separate tree (build-werror/) with
+# -DSHRINKSVM_WERROR=ON and builds every target: a warning is a bug (a
+# -Wformat-truncation once hid a model-file header cut short), so none may
+# survive in any library, test, bench, example or tool.
 #
 # The sched pass rebuilds the scheduler chaos suite under TSan and runs it
 # (the dispatcher, watchdog, gang hand-off and pool-exit paths are all
@@ -73,7 +78,7 @@ cd "$(dirname "$0")/.."
 run_tier1=true
 run_asan=true
 run_tsan=true
-run_perf=true
+run_werror=true
 run_obs=true
 run_sched=true
 run_simd=true
@@ -81,7 +86,7 @@ run_serve=true
 run_pbm=true
 only() {  # only <step>: disable every step except the named one
   run_tier1=false; run_asan=false; run_tsan=false
-  run_perf=false; run_obs=false; run_sched=false; run_simd=false
+  run_werror=false; run_obs=false; run_sched=false; run_simd=false
   run_serve=false; run_pbm=false
   eval "run_$1=true"
 }
@@ -89,14 +94,14 @@ case "${1:-}" in
   --tier1) only tier1 ;;
   --asan) only asan ;;
   --tsan) only tsan ;;
-  --perf) only perf ;;
+  --werror) only werror ;;
   --obs) only obs ;;
   --sched) only sched ;;
   --simd) only simd ;;
   --serve) only serve ;;
   --pbm) only pbm ;;
   "") ;;
-  *) echo "usage: scripts/check.sh [--tier1|--asan|--tsan|--perf|--obs|--sched|--simd|--serve|--pbm]" >&2; exit 2 ;;
+  *) echo "usage: scripts/check.sh [--tier1|--asan|--tsan|--werror|--obs|--sched|--simd|--serve|--pbm]" >&2; exit 2 ;;
 esac
 
 if $run_tier1; then
@@ -125,14 +130,10 @@ if $run_tsan; then
   (cd build-tsan && ctest -L 'chaos|obs' --output-on-failure -j "$(nproc)")
 fi
 
-if $run_perf; then
-  echo "=== perf smoke: pipelined reconstruction must not regress serial at p=4 ==="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j --target bench_fig8_gradrecon
-  # --assert makes the bench exit nonzero if the pipelined ring's
-  # reconstruction wall time exceeds the serial ring's, if the modeled
-  # network seconds fail to drop, or if bitwise model parity breaks.
-  (cd build && ./bench/bench_fig8_gradrecon --quick --ranks 4 --assert)
+if $run_werror; then
+  echo "=== werror: every target with -DSHRINKSVM_WERROR=ON ==="
+  cmake -B build-werror -S . -DSHRINKSVM_WERROR=ON >/dev/null
+  cmake --build build-werror -j
 fi
 
 if $run_obs; then

@@ -149,29 +149,6 @@ void DistributedSolver::pack_local_sample(PackedSamples& out, std::int64_t globa
   out.add(global, data_.y[g], alpha_[i], engine_.sq_norm(g), data_.X.row(g));
 }
 
-PackedSamples DistributedSolver::fetch_sample(std::int64_t global_index) {
-  const int owner = svmdata::owner_of(data_.size(), comm_.size(), global_index);
-  std::vector<std::byte> bytes;
-  if (owner == 0) {
-    if (comm_.rank() == 0) {
-      PackedSamples one;
-      pack_local_sample(one, global_index);
-      bytes = one.pack();
-    }
-  } else {
-    // Owner sends the sample to rank 0 first (Algorithm 2 lines 4-9)...
-    if (comm_.rank() == owner) {
-      PackedSamples one;
-      pack_local_sample(one, global_index);
-      comm_.send<std::byte>(one.pack(), 0, kTagSampleToRoot);
-    }
-    if (comm_.rank() == 0) bytes = comm_.recv<std::byte>(owner, kTagSampleToRoot);
-  }
-  // ...then rank 0 broadcasts it to everyone (line 10).
-  comm_.bcast(bytes, 0);
-  return PackedSamples::unpack(bytes);
-}
-
 PackedSamples DistributedSolver::fetch_pair(std::int64_t g_up, std::int64_t g_low) {
   const int owner_up = svmdata::owner_of(data_.size(), comm_.size(), g_up);
   const int owner_low = svmdata::owner_of(data_.size(), comm_.size(), g_low);
@@ -427,18 +404,8 @@ void DistributedSolver::refresh_bounds_all_samples() {
 
 void DistributedSolver::snapshot_stats() {
   stats_.iterations = iterations_.value();
-  stats_.shrink_passes = shrink_passes_.value();
   stats_.samples_shrunk = samples_shrunk_.value();
   stats_.reconstructions = reconstructions_.value();
-  stats_.recon_ring_steps = recon_ring_steps_.value();
-  stats_.recon_overlapped_steps = recon_overlapped_steps_.value();
-  stats_.recon_kernel_evaluations = metrics_.counter("recon.kernel_evaluations").value();
-  stats_.recon_scatter_builds = metrics_.counter("recon.scatter_builds").value();
-  stats_.recon_bytes_streamed = metrics_.counter("recon.bytes_streamed").value();
-  stats_.recon_scatter_builds_saved = metrics_.counter("recon.scatter_builds_saved").value();
-  stats_.recon_comm_seconds = metrics_.gauge("recon.comm_s").value();
-  stats_.recon_overlapped_seconds = metrics_.gauge("recon.overlapped_s").value();
-  stats_.reconstruction_seconds = metrics_.gauge("recon.total_s").value();
 
   // Engine- and kernel-level totals flow through the registry too, so a run
   // report carries the full picture without touching SolverStats.
@@ -458,9 +425,6 @@ void DistributedSolver::snapshot_stats() {
   metrics_.gauge("solver.min_active").set(static_cast<double>(stats_.min_active));
   metrics_.counter("solver.converged").set(stats_.converged ? 1 : 0);
   stats_.kernel_evaluations = kernel_.evaluations();
-  stats_.engine_pair_evals = engine_.stats().pair_evals;
-  stats_.engine_scatter_builds = engine_.stats().scatter_builds;
-  stats_.engine_bytes_streamed = engine_.stats().bytes_streamed;
 }
 
 RankResult DistributedSolver::solve() {
@@ -538,7 +502,6 @@ RankResult DistributedSolver::solve() {
   }
 
   stats_.converged = exit != PhaseExit::iteration_cap;
-  stats_.active_at_end = active_.size();
 
   // Hyperplane threshold over global I0 (Section III).
   double local_sum = 0.0;

@@ -44,16 +44,6 @@ struct DistributedConfig {
   /// iterations into SolverStats::active_trace (rank 0 only). Costs one
   /// Allreduce per sample point; used by the figure benches.
   std::uint64_t trace_active_interval = 0;
-  /// Double-buffered pipelined reconstruction ring (the tentpole of
-  /// Algorithm 3's fast path): each ring step posts the Isend/Irecv of the
-  /// next block before computing on the current one and Waitalls at the step
-  /// boundary, so the exchange is charged max(compute, comm) modeled seconds
-  /// instead of their sum (Comm::credit_overlap). The compute itself goes
-  /// through KernelEngine::eval_block_rows with adaptive orientation.
-  /// Bit-identical to the serial ring — a performance knob, never a results
-  /// knob; `false` keeps the blocking exchange-after-compute path for
-  /// before/after benchmarking.
-  bool pipelined_reconstruction = true;
   /// Checkpoint/restart: when both are set, every rank serializes its solver
   /// state into `checkpoint_store` at iteration multiples of
   /// `checkpoint_interval` (purely local — no extra communication), and a
@@ -103,12 +93,10 @@ class DistributedSolver {
   /// Worst-violator selection over active samples + MINLOC/MAXLOC reduce.
   void select_violators();
 
-  /// Owner -> rank 0 -> Bcast of one sample (Algorithm 2 lines 3-9).
-  [[nodiscard]] PackedSamples fetch_sample(std::int64_t global_index);
-
-  /// Batched violator fetch: both pair samples travel in ONE PackedSamples
-  /// message and ONE Bcast (sample 0 = up, sample 1 = low), halving the
-  /// per-iteration broadcast count of the two fetch_sample round trips.
+  /// Violator fetch (Algorithm 2 lines 3-10): both pair samples travel
+  /// owner -> rank 0 in ONE PackedSamples message per owning rank and then
+  /// ONE Bcast (sample 0 = up, sample 1 = low), half the broadcasts of
+  /// fetching the two samples one at a time.
   [[nodiscard]] PackedSamples fetch_pair(std::int64_t g_up, std::int64_t g_low);
 
   /// Appends the locally-owned sample `global` to `out`.
@@ -121,8 +109,9 @@ class DistributedSolver {
   /// Records the global active-set size when tracing is enabled.
   void maybe_trace_active();
 
-  /// Derives the legacy SolverStats snapshot from the metrics registry (the
-  /// counters live there now; every pre-registry consumer keeps working).
+  /// Fills the SolverStats fields the registry does not hold by name, plus
+  /// the few counters callers read from SolverStats, and publishes the
+  /// engine and kernel totals into the registry.
   void snapshot_stats();
 
   /// Restores solver state from the store's pinned epoch, if any.

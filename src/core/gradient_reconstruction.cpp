@@ -5,17 +5,16 @@
 // because the collective would need a buffer holding the whole dataset — the
 // ring keeps the footprint at one block.
 //
-// The default path is the double-buffered pipelined ring: step k posts the
-// Isend of the current block and the Irecv of block k+1 BEFORE computing on
-// block k, then Waitalls at the step boundary. The exchange rides behind the
-// compute, so the overlap accounting charges the step max(compute, comm)
-// modeled seconds instead of their sum (Comm::credit_overlap moves the
-// hidden min(compute, comm) into TrafficStats::overlapped_seconds). The
-// compute itself is one KernelEngine::eval_block_rows call per step —
-// min(|omega|, |block|) query scatters via the adaptive orientation instead
-// of one per stale sample — and is bit-identical to the serial per-sample
-// query loop, so pipelined and serial reconstruction produce byte-equal
-// models.
+// The ring is double-buffered: step k posts the Isend of the current block
+// and the Irecv of block k+1 BEFORE computing on block k, then Waitalls at
+// the step boundary. The exchange rides behind the compute, so the overlap
+// accounting charges the step max(compute, comm) modeled seconds instead of
+// their sum (Comm::credit_overlap moves the hidden min(compute, comm) into
+// TrafficStats::overlapped_seconds). The compute itself is one
+// KernelEngine::eval_block_rows call per step — min(|omega|, |block|) query
+// scatters via the adaptive orientation — and every backend reproduces the
+// reference backend's per-stale-sample loop bit for bit (ascending j, one
+// fresh +0.0 partial per stale sample, added once).
 //
 // Crash safety: gamma_ is only written after the full ring completes;
 // gamma_accum and the circulating buffers are locals. A rank failure at any
@@ -78,101 +77,64 @@ void DistributedSolver::reconstruct_gradients() {
     std::vector<std::byte> incoming;
     mine.pack_into(circulating);
     PackedSamples block;
-    const auto current_block = [&](int step) -> const PackedSamples& {
-      if (step == 0) return mine;
-      PackedSamples::unpack_into(circulating, block);
-      return block;
-    };
 
-    if (config_.pipelined_reconstruction) {
-      // eval_block_rows argument scratch, reused across steps.
-      std::vector<std::span<const svmdata::Feature>> rows;
-      std::vector<double> sq_norms;
-      std::vector<double> coeffs;
+    // eval_block_rows argument scratch, reused across steps.
+    std::vector<std::span<const svmdata::Feature>> rows;
+    std::vector<double> sq_norms;
+    std::vector<double> coeffs;
 
-      for (int step = 0; step < p; ++step) {
-        svmobs::TraceRound round_marker("recon");
-        svmobs::TraceSpan step_span("ring_step", "recon");
-        recon_ring_steps_.add();
-        // Post block k+1's exchange before computing on block k. isend is
-        // buffered-eager (it snapshots `circulating`), and the Irecv defers
-        // its blocking pop to the wait, so posting order is deadlock-free.
-        const bool exchanging = step + 1 < p;
-        svmmpi::Request recv_req;
-        svmmpi::Request send_req;
-        double comm_before = 0.0;
-        if (exchanging) {
-          svmobs::TraceSpan post_span("ring_post", "recon");
-          comm_before = comm_.traffic().modeled_seconds;
-          recv_req = comm_.irecv_into(incoming, from, kTagRing);
-          send_req = comm_.isend(std::span<const std::byte>(circulating), to, kTagRing);
-        }
-
-        const PackedSamples& b = current_block(step);
-        svmutil::Timer compute_timer;
-        rows.clear();
-        sq_norms.clear();
-        coeffs.clear();
-        rows.reserve(b.size());
-        sq_norms.reserve(b.size());
-        coeffs.reserve(b.size());
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          rows.push_back(b.row(j));
-          sq_norms.push_back(b.sq_norm(j));
-          coeffs.push_back(b.alpha(j) * b.y(j));
-        }
-        engine_.eval_block_rows(rows, sq_norms, coeffs, omega, range_.begin, gamma_accum,
-                                config_.openmp_gamma);
-        if (engine_.backend() != svmkernel::EngineBackend::reference)
-          metrics_.counter("recon.scatter_builds_saved")
-              .add(omega.size() - std::min(omega.size(), b.size()));
-        const double compute_s = compute_timer.seconds();
-
-        if (exchanging) {
-          // Waitall at the step boundary, then swap the double buffers. The
-          // wait span is what the overlap looks like on the timeline: the
-          // posted Isend/Irecv rode behind the engine_block_batch span above,
-          // so a short ring_wait means the exchange was fully hidden.
-          svmobs::TraceSpan wait_span("ring_wait", "recon");
-          recv_req.wait();
-          send_req.wait();
-          const double comm_s = comm_.traffic().modeled_seconds - comm_before;
-          comm_s_gauge.add(comm_s);
-          overlapped_s_gauge.add(comm_.credit_overlap(compute_s, comm_s));
-          recon_overlapped_steps_.add();
-          circulating.swap(incoming);
-        }
+    for (int step = 0; step < p; ++step) {
+      svmobs::TraceRound round_marker("recon");
+      svmobs::TraceSpan step_span("ring_step", "recon");
+      recon_ring_steps_.add();
+      // Post block k+1's exchange before computing on block k. isend is
+      // buffered-eager (it snapshots `circulating`), and the Irecv defers
+      // its blocking pop to the wait, so posting order is deadlock-free.
+      const bool exchanging = step + 1 < p;
+      svmmpi::Request recv_req;
+      svmmpi::Request send_req;
+      double comm_before = 0.0;
+      if (exchanging) {
+        svmobs::TraceSpan post_span("ring_post", "recon");
+        comm_before = comm_.traffic().modeled_seconds;
+        recv_req = comm_.irecv_into(incoming, from, kTagRing);
+        send_req = comm_.isend(std::span<const std::byte>(circulating), to, kTagRing);
       }
-    } else {
-      // Serial reference ring: blocking exchange strictly after the compute,
-      // one engine query scope per stale sample. Kept for before/after
-      // benchmarking; byte-equal results to the pipelined path.
-      for (int step = 0; step < p; ++step) {
-        svmobs::TraceRound round_marker("recon");
-        svmobs::TraceSpan step_span("ring_step", "recon");
-        recon_ring_steps_.add();
-        const PackedSamples& b = current_block(step);
-        for (std::size_t w = 0; w < omega.size(); ++w) {
-          const std::uint32_t i = omega[w];
-          const std::size_t g = range_.begin + i;
-          // Engine query scope: the stale row is scattered once, then the
-          // whole circulating block streams against it.
-          engine_.begin_query(data_.X.row(g), engine_.sq_norm(g));
-          double sum = 0.0;
-          for (std::size_t j = 0; j < b.size(); ++j)
-            sum += b.alpha(j) * b.y(j) * engine_.query_row(b.row(j), b.sq_norm(j));
-          engine_.end_query();
-          gamma_accum[w] += sum;
-        }
-        // After p-1 exchanges every block has visited every rank.
-        if (step + 1 < p) {
-          svmobs::TraceSpan exchange_span("ring_exchange", "recon");
-          const double comm_before = comm_.traffic().modeled_seconds;
-          comm_.sendrecv_into(std::span<const std::byte>(circulating), incoming, to, from,
-                              kTagRing);
-          comm_s_gauge.add(comm_.traffic().modeled_seconds - comm_before);
-          circulating.swap(incoming);
-        }
+
+      if (step > 0) PackedSamples::unpack_into(circulating, block);
+      const PackedSamples& b = step == 0 ? mine : block;
+      svmutil::Timer compute_timer;
+      rows.clear();
+      sq_norms.clear();
+      coeffs.clear();
+      rows.reserve(b.size());
+      sq_norms.reserve(b.size());
+      coeffs.reserve(b.size());
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        rows.push_back(b.row(j));
+        sq_norms.push_back(b.sq_norm(j));
+        coeffs.push_back(b.alpha(j) * b.y(j));
+      }
+      engine_.eval_block_rows(rows, sq_norms, coeffs, omega, range_.begin, gamma_accum,
+                              config_.openmp_gamma);
+      if (engine_.backend() != svmkernel::EngineBackend::reference)
+        metrics_.counter("recon.scatter_builds_saved")
+            .add(omega.size() - std::min(omega.size(), b.size()));
+      const double compute_s = compute_timer.seconds();
+
+      if (exchanging) {
+        // Waitall at the step boundary, then swap the double buffers. The
+        // wait span is what the overlap looks like on the timeline: the
+        // posted Isend/Irecv rode behind the engine_block_batch span above,
+        // so a short ring_wait means the exchange was fully hidden.
+        svmobs::TraceSpan wait_span("ring_wait", "recon");
+        recv_req.wait();
+        send_req.wait();
+        const double comm_s = comm_.traffic().modeled_seconds - comm_before;
+        comm_s_gauge.add(comm_s);
+        overlapped_s_gauge.add(comm_.credit_overlap(compute_s, comm_s));
+        recon_overlapped_steps_.add();
+        circulating.swap(incoming);
       }
     }
 

@@ -1,8 +1,7 @@
 #include "core/model.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
+#include <ios>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,9 +35,9 @@ svmkernel::KernelEngine SvmModel::make_engine(svmkernel::EngineBackend backend,
 double SvmModel::decision_value(std::span<const svmdata::Feature> x,
                                 svmkernel::KernelEngine& engine) const {
   const double sq_x = svmdata::CsrMatrix::squared_norm(x);
-  // accumulate_rows reproduces the historical begin_query/query_row loop
-  // term by term on the scalar backends and sweeps the RowStore panels in
-  // the same ascending order under simd — bit-identical at f64.
+  // accumulate_rows sums coef_j * K(sv_j, x) in ascending j on every
+  // backend, the loop of the engine-free overload above — bit-identical at
+  // f64.
   return engine.accumulate_rows(x, sq_x, coefficients_) - beta_;
 }
 
@@ -65,22 +64,22 @@ constexpr char kMagic[] = "shrinksvm-model-v1";
 }
 
 void SvmModel::save(std::ostream& out) const {
+  // 17 significant digits (%.17g) round-trip every normal double exactly.
+  const std::ios_base::fmtflags flags = out.flags(std::ios_base::dec);
+  const std::streamsize precision = out.precision(17);
   out << kMagic << '\n';
   out << "kernel " << svmkernel::to_string(kernel_.type) << '\n';
-  char buffer[96];
-  std::snprintf(buffer, sizeof(buffer), "gamma %.17g\ncoef0 %.17g\ndegree %d\nbeta %.17g\n", kernel_.gamma,
-                kernel_.coef0, kernel_.degree, beta_);
-  out << buffer;
+  out << "gamma " << kernel_.gamma << "\ncoef0 " << kernel_.coef0 << "\ndegree "
+      << kernel_.degree << "\nbeta " << beta_ << '\n';
   out << "nsv " << coefficients_.size() << '\n';
   for (std::size_t j = 0; j < coefficients_.size(); ++j) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", coefficients_[j]);
-    out << buffer;
-    for (const svmdata::Feature& f : support_vectors_.row(j)) {
-      std::snprintf(buffer, sizeof(buffer), " %d:%.17g", f.index, f.value);
-      out << buffer;
-    }
+    out << coefficients_[j];
+    for (const svmdata::Feature& f : support_vectors_.row(j))
+      out << ' ' << f.index << ':' << f.value;
     out << '\n';
   }
+  out.flags(flags);
+  out.precision(precision);
 }
 
 void SvmModel::save_file(const std::string& path) const {

@@ -1,8 +1,8 @@
 // Trained SVM model: support vectors, their coefficients alpha_j * y_j, the
 // threshold beta and the kernel. Prediction computes
 //   f(x) = sum_j coef_j * K(sv_j, x) - beta,  label = sign(f(x)).
-// Serialization is a versioned text format that round-trips exactly
-// (hex-float values).
+// Serialization is a versioned text format that round-trips every normal
+// double exactly (decimal values at 17 significant digits, %.17g).
 #pragma once
 
 #include <iosfwd>

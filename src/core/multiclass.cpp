@@ -62,13 +62,13 @@ constexpr char kMagic[] = "shrinksvm-multiclass-v1";
 
 void MulticlassModel::save(std::ostream& out) const {
   out << kMagic << '\n';
+  const std::ios_base::fmtflags flags = out.flags(std::ios_base::dec);
+  const std::streamsize precision = out.precision(17);  // as SvmModel::save
   out << "classes " << classes_.size();
-  char buffer[32];
-  for (const double c : classes_) {
-    std::snprintf(buffer, sizeof(buffer), " %.17g", c);
-    out << buffer;
-  }
+  for (const double c : classes_) out << ' ' << c;
   out << '\n';
+  out.flags(flags);
+  out.precision(precision);
   for (const SvmModel& model : pairwise_) model.save(out);
 }
 

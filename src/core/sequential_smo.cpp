@@ -111,7 +111,6 @@ SequentialResult solve_sequential(const svmdata::Dataset& dataset, const SolverP
 
   result.stats.kernel_evaluations = kernel.evaluations();
   result.stats.solve_seconds = total.seconds();
-  result.stats.active_at_end = n;
   return result;
 }
 

@@ -64,23 +64,9 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
     out.max_rank_kernel_evaluations =
         std::max(out.max_rank_kernel_evaluations, s.kernel_evaluations);
     out.samples_shrunk += s.samples_shrunk;
-    out.recon_kernel_evaluations += s.recon_kernel_evaluations;
-    out.engine_pair_evals += s.engine_pair_evals;
-    out.engine_scatter_builds += s.engine_scatter_builds;
-    out.engine_bytes_streamed += s.engine_bytes_streamed;
-    out.recon_comm_seconds = std::max(out.recon_comm_seconds, s.recon_comm_seconds);
-    out.recon_overlapped_seconds =
-        std::max(out.recon_overlapped_seconds, s.recon_overlapped_seconds);
-    out.recon_scatter_builds += s.recon_scatter_builds;
-    out.recon_bytes_streamed += s.recon_bytes_streamed;
-    out.recon_scatter_builds_saved += s.recon_scatter_builds_saved;
     out.solve_seconds = std::max(out.solve_seconds, s.solve_seconds);
-    out.reconstruction_seconds =
-        std::max(out.reconstruction_seconds, s.reconstruction_seconds);
   }
   out.reconstructions = first->stats.reconstructions;
-  out.recon_ring_steps = first->stats.recon_ring_steps;
-  out.recon_overlapped_steps = first->stats.recon_overlapped_steps;
   out.active_trace = first->stats.active_trace;
 
   // Per-rank metric registries: the solver's registry completed with the
@@ -103,6 +89,8 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
   }
   out.metrics = svmobs::MetricsRegistry();
   for (const svmobs::MetricsRegistry& m : out.rank_metrics) out.metrics.aggregate_from(m);
+  out.engine_bytes_streamed =
+      static_cast<std::uint64_t>(out.metrics.value("engine.bytes_streamed"));
 
   // Modeled time on the paper's testbed: per-rank kernel work (lambda per
   // evaluation) plus the rank's modeled network time; take the slowest rank.
@@ -378,8 +366,7 @@ TrainResult train(const svmdata::Dataset& dataset, const SolverParams& params,
                            options.heuristic,
                            options.permanent_shrink,
                            options.openmp_gamma,
-                           options.trace_active_interval,
-                           options.pipelined_reconstruction};
+                           options.trace_active_interval};
   resolve_pbm_blocks(config, options);
   TraceSession trace(options);
   TrainResult out = train_impl(dataset, options, config, /*injector=*/nullptr);
@@ -413,8 +400,7 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
                            options.heuristic,
                            options.permanent_shrink,
                            options.openmp_gamma,
-                           options.trace_active_interval,
-                           options.pipelined_reconstruction};
+                           options.trace_active_interval};
   config.checkpoint_interval = recovery.checkpoint_interval;
   config.checkpoint_store = recovery.checkpoint_interval > 0 ? store : nullptr;
   resolve_pbm_blocks(config, options);

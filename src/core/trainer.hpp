@@ -27,9 +27,6 @@ struct TrainOptions {
   bool permanent_shrink = false;  ///< CA-SVM ablation; see DistributedConfig
   bool openmp_gamma = false;      ///< hybrid MPI+OpenMP gamma updates
   std::uint64_t trace_active_interval = 0;  ///< see DistributedConfig
-  /// Double-buffered compute-overlapped reconstruction ring; bit-identical
-  /// results either way — see DistributedConfig::pipelined_reconstruction.
-  bool pipelined_reconstruction = true;
 
   // --- observability (src/obs) ---------------------------------------------
   /// When non-empty, the trace recorder is enabled for this run and Chrome
@@ -62,7 +59,11 @@ struct TrainResult {
   std::vector<svmmpi::TrafficStats> rank_traffic;
   svmmpi::TrafficStats traffic;                  ///< totals over ranks
   /// Per-rank metric registries (solver counters + net.* traffic), indexed
-  /// by rank, plus the cross-rank aggregate; feeds run_report().
+  /// by rank, plus the cross-rank aggregate, in which counters sum and
+  /// gauges take the max over ranks; feeds run_report(). Counts without a
+  /// field below are read here, e.g. metrics.value("recon.total_s") (the
+  /// slowest rank's reconstruction seconds) or, for a rank-invariant count,
+  /// rank_metrics[r].value("recon.ring_steps").
   std::vector<svmobs::MetricsRegistry> rank_metrics;
   svmobs::MetricsRegistry metrics;
 
@@ -71,23 +72,8 @@ struct TrainResult {
   std::uint64_t max_rank_kernel_evaluations = 0;
   std::uint64_t samples_shrunk = 0;
   std::uint64_t reconstructions = 0;
-  std::uint64_t recon_kernel_evaluations = 0;  ///< summed over ranks
-  std::uint64_t engine_pair_evals = 0;         ///< summed over ranks
-  std::uint64_t engine_scatter_builds = 0;     ///< summed over ranks
-  std::uint64_t engine_bytes_streamed = 0;     ///< summed over ranks
-  // Reconstruction-pipeline aggregates (see SolverStats): ring steps and
-  // overlapped steps are rank-invariant counts from the first completed
-  // rank; seconds are max over ranks (the slowest rank paces the ring);
-  // engine counters and scatter savings are summed over ranks.
-  std::uint64_t recon_ring_steps = 0;
-  std::uint64_t recon_overlapped_steps = 0;
-  double recon_comm_seconds = 0.0;
-  double recon_overlapped_seconds = 0.0;
-  std::uint64_t recon_scatter_builds = 0;      ///< summed over ranks
-  std::uint64_t recon_bytes_streamed = 0;      ///< summed over ranks
-  std::uint64_t recon_scatter_builds_saved = 0;  ///< summed over ranks
+  std::uint64_t engine_bytes_streamed = 0;  ///< metrics' engine.bytes_streamed
   double solve_seconds = 0.0;           ///< max over ranks
-  double reconstruction_seconds = 0.0;  ///< max over ranks
   double wall_seconds = 0.0;            ///< around the whole SPMD region
   double modeled_seconds = 0.0;         ///< max per-rank compute+network model
   bool converged = false;

@@ -123,41 +123,19 @@ enum class IndexSet : std::uint8_t { I0, I1, I2, I3, I4 };
 }
 
 /// Execution statistics; in the distributed solvers, counter fields are this
-/// rank's share and the times are this rank's wall clock.
+/// rank's share and the times are this rank's wall clock. Everything else a
+/// distributed solve counts (reconstruction ring steps and seconds, engine
+/// work) lives only in the rank's MetricsRegistry (RankResult::metrics).
 struct SolverStats {
   std::uint64_t iterations = 0;
   std::uint64_t kernel_evaluations = 0;
-  std::uint64_t shrink_passes = 0;       ///< number of times the shrink test ran
   std::uint64_t samples_shrunk = 0;      ///< cumulative samples removed
   std::uint64_t reconstructions = 0;     ///< gradient-reconstruction rounds
   double solve_seconds = 0.0;            ///< total wall time in the solver
-  double reconstruction_seconds = 0.0;   ///< wall time inside Algorithm 3
-  std::uint64_t recon_kernel_evaluations = 0;  ///< kernel evals inside Algorithm 3
-  // Pipelined-reconstruction accounting (see gradient_reconstruction.cpp):
-  // ring steps executed, how many overlapped an exchange with compute, the
-  // modeled comm seconds of the ring exchanges (gross, before crediting),
-  // the portion hidden behind compute (max(compute, comm) charging), the
-  // engine counters attributable to reconstruction, and how many query-row
-  // scatters the adaptive orientation avoided versus the one-per-stale-
-  // sample streaming path.
-  std::uint64_t recon_ring_steps = 0;
-  std::uint64_t recon_overlapped_steps = 0;
-  double recon_comm_seconds = 0.0;
-  double recon_overlapped_seconds = 0.0;
-  std::uint64_t recon_scatter_builds = 0;
-  std::uint64_t recon_bytes_streamed = 0;
-  std::uint64_t recon_scatter_builds_saved = 0;
   double final_beta_up = std::numeric_limits<double>::quiet_NaN();
   double final_beta_low = std::numeric_limits<double>::quiet_NaN();
-  std::size_t active_at_end = 0;         ///< active (non-shrunk) samples at exit
   std::size_t min_active = 0;            ///< smallest active-set size seen (this rank)
   bool converged = false;                ///< false only if max_iterations hit
-  // KernelEngine counters (see EngineStats): samples through the fused
-  // up/low pair path, query-row scatters (dense backends only), and CSR
-  // bytes the batched ops streamed.
-  std::uint64_t engine_pair_evals = 0;
-  std::uint64_t engine_scatter_builds = 0;
-  std::uint64_t engine_bytes_streamed = 0;
   /// (iteration, global active samples) samples; filled on rank 0 when
   /// DistributedConfig::trace_active_interval > 0.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> active_trace;

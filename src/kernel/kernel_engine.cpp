@@ -328,7 +328,7 @@ void KernelEngine::eval_block_rows(
 
   if (backend_ == EngineBackend::reference) {
     // Ground truth: per stale sample, one ordered merge-join sweep over the
-    // block — exactly the begin_query/query_row loop this call batches.
+    // block into a fresh partial, added once.
     for (std::size_t w = 0; w < stale; ++w) {
       const std::size_t g = base + rows[w];
       const auto stale_row = X_.row(g);
@@ -417,10 +417,10 @@ void KernelEngine::eval_block_rows(
       accum[w] += block_partials_[w];
     }
   } else {
-    // Scatter each stale row once; stream the whole block against it —
-    // exactly the streaming query-scope orientation, batched. Circulating
-    // rows may be wider than this rank's matrix; features beyond cols cannot
-    // intersect the scattered query (same exactness argument as query_row).
+    // Scatter each stale row once; stream the whole block against it.
+    // Circulating rows may be wider than this rank's matrix; features beyond
+    // cols cannot intersect the scattered stale row, so skipping them is
+    // exact.
     std::uint64_t block_bytes = 0;
     for (std::size_t j = 0; j < block; ++j)
       block_bytes += block_rows[j].size() * sizeof(svmdata::Feature);
@@ -478,41 +478,6 @@ void KernelEngine::eval_block_rows(std::span<const std::span<const svmdata::Feat
   // per-support-vector scatter loop.
   for (std::size_t q = 0; q < queries.size(); ++q)
     out[q] = accumulate_rows(queries[q], query_sq_norms[q], coeffs, parallel);
-}
-
-void KernelEngine::begin_query(std::span<const svmdata::Feature> query, double sq_query) {
-  query_ = query;
-  query_sq_ = sq_query;
-  query_active_ = true;
-  if (backend_ != EngineBackend::reference) {
-    ensure_dense(1);
-    scatter(query, 0, 1);
-    stats_.scatter_builds += 1;
-  }
-}
-
-double KernelEngine::query_row(std::span<const svmdata::Feature> row, double sq_row) {
-  stats_.single_evals += 1;
-  stats_.bytes_streamed += row.size() * sizeof(svmdata::Feature);
-  if (backend_ == EngineBackend::reference)
-    return kernel_.eval(row, query_, sq_row, query_sq_);
-  const std::size_t cols = X_.cols();
-  double d = 0.0;
-  // Streamed rows may come from other ranks (ring blocks) and exceed this
-  // matrix's column count; such features cannot intersect the query, so
-  // skipping them is exact.
-  for (const svmdata::Feature& f : row) {
-    const auto idx = static_cast<std::size_t>(f.index);
-    if (idx < cols) d += f.value * dense_[idx];
-  }
-  kernel_.note_evaluations(1);
-  return kernel_.finish_from_dot(d, sq_row, query_sq_);
-}
-
-void KernelEngine::end_query() {
-  if (query_active_ && backend_ != EngineBackend::reference) unscatter(query_, 0, 1);
-  query_ = {};
-  query_active_ = false;
 }
 
 void KernelEngine::set_row_scale(std::span<const double> scale) {
@@ -674,26 +639,22 @@ void KernelEngine::simd_single_range(std::size_t begin, std::size_t end, double 
 double KernelEngine::accumulate_rows(std::span<const svmdata::Feature> query,
                                      double sq_query, std::span<const double> coeffs,
                                      bool parallel) {
-  svmobs::TraceSpan span("engine_row_batch", "kernel");
   const std::size_t n = coeffs.size();
 
   if (backend_ != EngineBackend::simd) {
-    // The historical model-scoring loop, term by term: one streaming query
-    // scope, rows ascending. query_row does the per-row stats/counters.
-    (void)parallel;
-    begin_query(query, sq_query);
+    // The query's kernel row (eval_rows opens the trace span and counts the
+    // work), then the coefficient reduction in ascending row order.
+    block_kvals_.resize(n);
+    eval_rows(query, sq_query, norm_begin_, norm_begin_ + n, block_kvals_, parallel);
     double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t g = norm_begin_ + j;
-      sum += coeffs[j] * query_row(X_.row(g), sq_norm(g));
-    }
-    end_query();
+    for (std::size_t j = 0; j < n; ++j) sum += coeffs[j] * block_kvals_[j];
     return sum;
   }
 
   // Panel sweep with an ordered (ascending-row) coefficient reduction: same
-  // per-term operations and order as the scalar loop above, so f64 stays
+  // per-term operations and order as the scalar path above, so f64 stays
   // bit-identical. The reduction order requirement rules out parallelism.
+  svmobs::TraceSpan span("engine_row_batch", "kernel");
   (void)parallel;
   stats_.single_evals += n;
   stats_.bytes_streamed += n * store_->row_bytes();

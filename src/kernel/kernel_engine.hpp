@@ -9,9 +9,10 @@
 //       and K(low,i) in a single memory traversal (the gamma-update hot loop
 //       previously paid two sparse merge-join intersections per sample);
 //   eval_rows                          the single-query batch, same core;
-//   begin_query/query_row/end_query    streaming one-query scope for loops
-//       that walk rows from elsewhere (gradient reconstruction's ring blocks,
-//       model scoring against support vectors);
+//   accumulate_rows                    one query's weighted kernel sum over
+//       the engine's rows (model scoring against support vectors);
+//   eval_block_rows                    multi-query batches: a ring step of
+//       gradient reconstruction, or a serving micro-batch;
 //   k_row_floats                       full float kernel row with optional
 //       per-row scaling and LRU caching (the libsvm baseline's Q rows).
 //
@@ -46,13 +47,13 @@
 // lane is one row's sequential mul+add sum over ascending columns (never a
 // horizontal reduction, never an FMA — see simd.hpp), which is the dense
 // pass above with the sides swapped, and the dot funnels through the same
-// finish_from_dot. Streaming entry points whose rows are not in the store
-// (begin_query/query_row, k_row_floats fills) fall back to the scalar
-// dense-scatter code under the simd backend — bit-identical for f64 by the
-// argument above. The batched multi-query paths (eval_block_rows in both
-// forms, accumulate_rows) DO run on the RowStore panels under simd: each
-// external row becomes the prepared query and the resident side is swept a
-// panel at a time, with ordered reductions preserving f64 bit-identity.
+// finish_from_dot. k_row_floats fills, whose rows are not in the store,
+// fall back to the scalar dense-scatter code under the simd backend —
+// bit-identical for f64 by the argument above. The batched multi-query
+// paths (eval_block_rows in both forms, accumulate_rows) DO run on the
+// RowStore panels under simd: each external row becomes the prepared query
+// and the resident side is swept a panel at a time, with ordered reductions
+// preserving f64 bit-identity.
 //
 // Thread safety: an engine is mutable per-call state (scatter buffers,
 // counters) — use one engine per rank / per thread. The `parallel` flags
@@ -82,10 +83,10 @@ enum class EngineBackend { reference, dense_scatter, cached, simd };
 [[nodiscard]] const char* trace_label(EngineBackend backend) noexcept;
 
 /// Counters for the batched layer; cheap (no atomics — engines are
-/// single-owner), reported through SolverStats and the benches.
+/// single-owner), published as the solvers' engine.* metrics.
 struct EngineStats {
   std::uint64_t pair_evals = 0;      ///< samples evaluated by the fused pair path
-  std::uint64_t single_evals = 0;    ///< rows evaluated by eval_rows/query_row
+  std::uint64_t single_evals = 0;    ///< kernel values outside the fused pair path
   std::uint64_t scatter_builds = 0;  ///< query-row scatters into the dense buffer
   std::uint64_t bytes_streamed = 0;  ///< payload bytes traversed by batched ops
                                      ///< (CSR features, or flavored panel bytes
@@ -174,10 +175,10 @@ class KernelEngine {
   /// Weighted kernel sum over every row in the engine's norm range:
   ///   sum_j coeffs[j] * K(query, X.row(norm_begin + j)),  j ascending.
   /// This is model scoring (coeffs = alpha_i * y_i over support vectors) as
-  /// one batched call. The scalar backends reproduce the historical
-  /// begin_query/query_row loop term by term; the simd backend sweeps the
-  /// RowStore panels and reduces in the same ascending-row order, so the
-  /// result is bit-identical across backends at flavor f64.
+  /// one batched call. The scalar backends evaluate the query's kernel row
+  /// (eval_rows) and reduce it in ascending row order; the simd backend
+  /// sweeps the RowStore panels and reduces in the same order, so the result
+  /// is bit-identical across backends at flavor f64.
   [[nodiscard]] double accumulate_rows(std::span<const svmdata::Feature> query,
                                        double sq_query, std::span<const double> coeffs,
                                        bool parallel = false);
@@ -189,18 +190,19 @@ class KernelEngine {
   ///   accum[w] += sum_j block_coeffs[j] * K(block_rows[j], X.row(base + rows[w]))
   /// where block_rows are the circulating remote samples (their squared
   /// norms passed in block_sq_norms) and the j-sum is evaluated in
-  /// increasing j order into a fresh +0.0 partial before the single += —
-  /// BIT-IDENTICAL to the per-sample begin_query/query_row loop it replaces
-  /// (the dot is orientation-symmetric: the merge join and both scatter
-  /// directions accumulate the index-intersection products in the same
-  /// increasing-index order, and IEEE add/mul are commutative).
+  /// increasing j order into a fresh +0.0 partial before the single +=. The
+  /// reference backend is exactly that per-stale-sample merge-join loop, and
+  /// every other backend is BIT-IDENTICAL to it (the dot is
+  /// orientation-symmetric: the merge join and both scatter directions
+  /// accumulate the index-intersection products in the same increasing-index
+  /// order, and IEEE add/mul are commutative). Block rows may be wider than
+  /// X; their features beyond X.cols() cannot intersect a stale row.
   ///
   /// The dense backends scatter whichever side is SMALLER — the adaptive
   /// kernel orientation: min(rows.size(), block_rows.size()) scatter builds
-  /// instead of the one-per-stale-sample of the streaming-scope path — and
-  /// `parallel` OpenMP-parallelizes the streamed side (safe: the dense
-  /// buffer is read-only while worker threads stream, and per-w partials
-  /// keep the accumulation order fixed).
+  /// instead of one per stale sample — and `parallel` OpenMP-parallelizes
+  /// the streamed side (safe: the dense buffer is read-only while worker
+  /// threads stream, and per-w partials keep the accumulation order fixed).
   void eval_block_rows(std::span<const std::span<const svmdata::Feature>> block_rows,
                        std::span<const double> block_sq_norms,
                        std::span<const double> block_coeffs,
@@ -220,16 +222,6 @@ class KernelEngine {
                        std::span<const double> query_sq_norms,
                        std::span<const double> coeffs, std::span<double> out,
                        bool parallel = false);
-
-  // --- streaming one-query scope -----------------------------------------
-  // begin_query scatters (or, for the reference backend, remembers) the
-  // query row; query_row then evaluates arbitrary rows against it — rows
-  // need not come from X (gradient reconstruction streams ring-exchanged
-  // blocks). The query span must stay valid until end_query.
-
-  void begin_query(std::span<const svmdata::Feature> query, double sq_query);
-  [[nodiscard]] double query_row(std::span<const svmdata::Feature> row, double sq_row);
-  void end_query();
 
   // --- cached float rows (libsvm baseline Q rows) -------------------------
 
@@ -293,14 +285,12 @@ class KernelEngine {
 
   std::vector<double> dense_;        ///< scatter buffer, lanes * cols entries
   std::size_t dense_lanes_ = 0;      ///< 1 = single query, 2 = interleaved pair
-  std::span<const svmdata::Feature> query_;  ///< active begin_query row
-  double query_sq_ = 0.0;
-  bool query_active_ = false;
 
   std::vector<double> scale_;
   std::vector<float> row_scratch_;
-  // eval_block_rows scratch, reused across ring steps: per-stale-sample
-  // partial sums and (scatter-stale orientation) per-block kernel values.
+  // Scratch reused across calls: eval_block_rows' per-stale-sample partial
+  // sums, and kernel values (a ring step's block in the scatter-stale
+  // orientation, or accumulate_rows' kernel row).
   std::vector<double> block_partials_;
   std::vector<double> block_kvals_;
   std::unique_ptr<KernelRowCache> cache_;

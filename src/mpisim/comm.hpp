@@ -196,15 +196,6 @@ class Comm {
     return incoming;
   }
 
-  /// Buffer-reusing sendrecv: the incoming payload is copied into `incoming`
-  /// (capacity reused) instead of a freshly allocated vector per exchange.
-  void sendrecv_into(std::span<const std::byte> outgoing, std::vector<std::byte>& incoming,
-                     int destination, int source, int tag = 0) {
-    Request s = isend(outgoing, destination, tag);
-    recv_bytes_into(incoming, source, tag, nullptr);
-    s.wait();
-  }
-
   // --- collectives ---------------------------------------------------------
 
   void barrier();

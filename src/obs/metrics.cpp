@@ -74,6 +74,13 @@ Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<doubl
   return it->second;
 }
 
+double MetricsRegistry::value(const std::string& key) const {
+  if (const auto c = counters_.find(key); c != counters_.end())
+    return static_cast<double>(c->second.value());
+  if (const auto g = gauges_.find(key); g != gauges_.end()) return g->second.value();
+  return 0.0;
+}
+
 void MetricsRegistry::aggregate_from(const MetricsRegistry& rank) {
   for (const auto& [key, c] : rank.counters_) counters_[key].add(c.value());
   for (const auto& [key, g] : rank.gauges_) {

@@ -4,10 +4,9 @@
 // references (std::map nodes never move), so a hot loop binds a Counter&
 // once and increments a single machine word.
 //
-// The solver layer replaces its hand-threaded counter plumbing with a
-// registry: DistributedSolver's counters/timers live here, and the legacy
-// SolverStats struct is SNAPSHOTTED from the registry at the end of a solve
-// (see DistributedSolver::solve), keeping every existing consumer working.
+// The solvers keep their counters and timers here. SolverStats and
+// TrainResult add only what a registry does not hold by name plus a few
+// totals their callers read; everything else is looked up with value().
 // Run reports (obs/report.hpp) serialize registries to JSON.
 #pragma once
 
@@ -107,6 +106,11 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const noexcept {
     return histograms_;
   }
+
+  /// The counter or gauge registered under the canonical key `key` (the
+  /// plain name when unlabeled), or 0 when neither exists. Counters convert
+  /// to double exactly below 2^53.
+  [[nodiscard]] double value(const std::string& key) const;
 
   [[nodiscard]] bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

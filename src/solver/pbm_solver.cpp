@@ -627,11 +627,7 @@ void PbmSolver::snapshot_stats() {
   stats_.final_beta_up = beta_up_;
   stats_.final_beta_low = beta_low_;
   stats_.converged = converged_;
-  stats_.active_at_end = span_.size();
   stats_.min_active = span_.size();
-  stats_.engine_pair_evals = engine_.stats().pair_evals;
-  stats_.engine_scatter_builds = engine_.stats().scatter_builds;
-  stats_.engine_bytes_streamed = engine_.stats().bytes_streamed;
 
   metrics_.counter("solver.iterations").set(round_);
   metrics_.counter("kernel.evaluations").set(kernel_.evaluations());

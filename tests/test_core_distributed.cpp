@@ -87,6 +87,13 @@ TEST_P(DistributedP, WorkSplitsAcrossRanks) {
     EXPECT_GT(r.traffic.collectives, 0u);
     EXPECT_GT(r.traffic.bytes_sent, 0u);
   }
+  // The rank registries are the one store of the engine's counters; the
+  // aggregate sums them and engine_bytes_streamed is read from it.
+  double bytes = 0.0;
+  for (const auto& m : r.rank_metrics) bytes += m.value("engine.bytes_streamed");
+  EXPECT_GT(bytes, 0.0);
+  EXPECT_EQ(r.metrics.value("engine.bytes_streamed"), bytes);
+  EXPECT_EQ(static_cast<double>(r.engine_bytes_streamed), bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedP, ::testing::Values(1, 2, 3, 4, 8));

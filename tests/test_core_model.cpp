@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/model.hpp"
+#include "core/multiclass.hpp"
 #include "core/sequential_smo.hpp"
 #include "core/trainer.hpp"
 #include "data/split.hpp"
@@ -10,6 +16,7 @@
 
 namespace {
 
+using svmcore::MulticlassModel;
 using svmcore::SvmModel;
 using svmdata::Dataset;
 using svmdata::Feature;
@@ -90,6 +97,68 @@ TEST(Model, SaveLoadFileRoundTrip) {
   model.save_file(path);
   const SvmModel loaded = SvmModel::load_file(path);
   EXPECT_EQ(loaded.num_support_vectors(), model.num_support_vectors());
+}
+
+// Normal doubles at the edge of the 17-significant-digit model format:
+// values near +-1e-05 that print all 17 digits (the first three fill the
+// header, which once overflowed a fixed buffer and lost beta's exponent),
+// +-DBL_MAX, DBL_MIN and -0.0.
+const std::vector<double> kExtremes{
+    -1.2345678901234568e-05, 1.2345678901234568e-05, -9.8765432109876557e-06,
+    std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+    std::numeric_limits<double>::min(), -0.0};
+
+/// A polynomial model whose header and body hold every extreme value.
+SvmModel extreme_model() {
+  KernelParams kernel;
+  kernel.type = KernelType::polynomial;
+  kernel.gamma = kExtremes[1];
+  kernel.coef0 = kExtremes[2];
+  svmdata::CsrMatrix sv;
+  std::vector<double> coefficients;
+  for (std::size_t j = 0; j < kExtremes.size(); ++j) {
+    sv.add_row(std::vector<Feature>{{static_cast<std::int32_t>(j), kExtremes[j]}});
+    coefficients.push_back(kExtremes[kExtremes.size() - 1 - j]);
+  }
+  return SvmModel(kernel, std::move(sv), std::move(coefficients), kExtremes[0]);
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Every value a model file carries, as raw bits, in file order.
+std::vector<std::uint64_t> model_bits(const SvmModel& m) {
+  const KernelParams& k = m.kernel_params();
+  std::vector<std::uint64_t> out{static_cast<std::uint64_t>(k.type), bits(k.gamma), bits(k.coef0),
+                                 static_cast<std::uint64_t>(k.degree), bits(m.beta())};
+  for (std::size_t j = 0; j < m.num_support_vectors(); ++j) {
+    out.push_back(bits(m.coefficients()[j]));
+    for (const Feature& f : m.support_vectors().row(j)) {
+      out.push_back(static_cast<std::uint64_t>(f.index));
+      out.push_back(bits(f.value));
+    }
+  }
+  return out;
+}
+
+TEST(Model, SaveLoadRoundTripsExtremeDoublesBitwise) {
+  const SvmModel model = extreme_model();
+  const std::string path = ::testing::TempDir() + "/extreme.shrinksvm";
+  model.save_file(path);
+  EXPECT_EQ(model_bits(SvmModel::load_file(path)), model_bits(model));
+}
+
+TEST(Model, MulticlassSaveLoadRoundTripsExtremeDoublesBitwise) {
+  const std::vector<double> classes{kExtremes[0], kExtremes[3], kExtremes[5]};
+  const MulticlassModel model(classes, {extreme_model(), extreme_model(), extreme_model()});
+  const std::string path = ::testing::TempDir() + "/extreme.multiclass";
+  model.save_file(path);
+  const MulticlassModel loaded = MulticlassModel::load_file(path);
+  ASSERT_EQ(loaded.num_classes(), classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c)
+    EXPECT_EQ(bits(loaded.classes()[c]), bits(classes[c])) << "class " << c;
+  ASSERT_EQ(loaded.machines().size(), 3u);
+  for (const SvmModel& machine : loaded.machines())
+    EXPECT_EQ(model_bits(machine), model_bits(model.machines()[0]));
 }
 
 TEST(Model, LoadRejectsWrongMagic) {

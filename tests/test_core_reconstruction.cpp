@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/objective.hpp"
 #include "core/sample_block.hpp"
@@ -34,6 +35,10 @@ struct Case {
   const char* heuristic;
   int ranks;
 };
+
+/// Names the case by meaning, e.g. "Multi5pc_r2": raw struct bytes would
+/// embed a string pointer that changes on every test discovery.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.heuristic << "_r" << c.ranks; }
 
 class ReconstructionP : public ::testing::TestWithParam<Case> {};
 
@@ -77,7 +82,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReconstructionP,
                          ::testing::Values(Case{"Single2", 1}, Case{"Single2", 4},
                                            Case{"Single5pc", 3}, Case{"Multi2", 1},
                                            Case{"Multi2", 4}, Case{"Multi5pc", 2},
-                                           Case{"Multi10pc", 5}, Case{"Single1000", 2}));
+                                           Case{"Multi10pc", 5}, Case{"Single1000", 2}),
+                         ::testing::PrintToStringParamName());
 
 TEST(PackedSamplesT, PackUnpackRoundTrip) {
   PackedSamples block;

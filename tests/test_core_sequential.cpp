@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <sstream>
+#include <string>
 
 #include "core/objective.hpp"
 #include "core/sequential_smo.hpp"
@@ -120,6 +124,17 @@ struct KktCase {
   double sigma_sq_or_gamma;
 };
 
+/// Names the case by meaning, e.g. "rbf_C10_sigmasq0p5": raw struct bytes
+/// would embed padding that changes on every test discovery.
+void PrintTo(const KktCase& c, std::ostream* os) {
+  std::ostringstream text;
+  text << svmkernel::to_string(c.kernel) << "_C" << c.C
+       << (c.kernel == KernelType::rbf ? "_sigmasq" : "_gamma") << c.sigma_sq_or_gamma;
+  std::string name = text.str();
+  std::replace(name.begin(), name.end(), '.', 'p');  // test names allow [A-Za-z0-9_]
+  *os << name;
+}
+
 class SequentialKktP : public ::testing::TestWithParam<KktCase> {};
 
 TEST_P(SequentialKktP, KktConditionsHoldAtConvergence) {
@@ -146,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(KktCase{KernelType::rbf, 1.0, 4.0}, KktCase{KernelType::rbf, 32.0, 64.0},
                       KktCase{KernelType::rbf, 10.0, 0.5}, KktCase{KernelType::linear, 1.0, 1.0},
                       KktCase{KernelType::linear, 100.0, 1.0},
-                      KktCase{KernelType::polynomial, 10.0, 0.5}));
+                      KktCase{KernelType::polynomial, 10.0, 0.5}),
+    ::testing::PrintToStringParamName());
 
 TEST(DualObjective, MatchesHandComputation) {
   // Two samples at x = +-1, alpha = (0.5, 0.5), linear kernel:

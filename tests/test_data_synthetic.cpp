@@ -138,7 +138,9 @@ TEST(Zoo, GeneratesEveryEntryAtTinyScale) {
     EXPECT_GE(train.size(), 8u) << entry.name;
     EXPECT_NO_THROW(train.validate()) << entry.name;
     const Dataset test = make_test(entry, 0.05);
-    if (entry.default_test_size > 0) EXPECT_GE(test.size(), 8u) << entry.name;
+    if (entry.default_test_size > 0) {
+      EXPECT_GE(test.size(), 8u) << entry.name;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "core/distributed_solver.hpp"
@@ -57,6 +58,12 @@ struct ParityCase {
   double scale;
 };
 
+/// Names the case by meaning, e.g. "w7a_Multi5pc_r3": raw struct bytes would
+/// embed string pointers that change on every test discovery.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << c.dataset << '_' << c.heuristic << "_r" << c.ranks;
+}
+
 class ModelParityP : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(ModelParityP, DenseScatterModelBitIdenticalToReference) {
@@ -92,10 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{"usps", "Multi2", 2, 0.2},         // dense-ish pixels
                       ParityCase{"codrna", "Single5pc", 4, 0.15},   // dense tabular
                       ParityCase{"mushrooms", "Original", 1, 0.4}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.dataset) + "_" + param_info.param.heuristic +
-             "_r" + std::to_string(param_info.param.ranks);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(EngineParity, SequentialAlphasBitIdenticalAcrossBackends) {
   const ZooEntry& entry = svmdata::zoo_entry("a9a");

@@ -3,6 +3,8 @@
 // baseline) on datasets with held-out test sets.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baseline/libsvm_like.hpp"
 #include "core/trainer.hpp"
 #include "data/zoo.hpp"
@@ -31,6 +33,12 @@ struct ZooCase {
   double scale;
 };
 
+/// Names the case by meaning, e.g. "a9a_Multi5pc_r4": raw struct bytes would
+/// embed string pointers that change on every test discovery.
+void PrintTo(const ZooCase& c, std::ostream* os) {
+  *os << c.dataset << '_' << c.heuristic << "_r" << c.ranks;
+}
+
 class ZooSweepP : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ZooSweepP, TrainsAndSelfClassifies) {
@@ -58,7 +66,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ZooCase{"codrna", "Multi10pc", 4, 0.2},
                       ZooCase{"mnist", "Single50pc", 2, 0.1},
                       ZooCase{"realsim", "Multi5pc", 4, 0.1},
-                      ZooCase{"rcv1", "Multi5pc", 2, 0.15}));
+                      ZooCase{"rcv1", "Multi5pc", 2, 0.15}),
+    ::testing::PrintToStringParamName());
 
 class AccuracyParityP : public ::testing::TestWithParam<const char*> {};
 

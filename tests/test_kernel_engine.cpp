@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.hpp"
@@ -191,31 +192,6 @@ TEST_P(EngineParityP, EvalRowsAndRangeBitIdenticalAcrossBackends) {
   }
 }
 
-TEST_P(EngineParityP, QueryScopeBitIdenticalAndHandlesWideRemoteRows) {
-  const Dataset d = parity_dataset();
-  const Kernel kernel(params_for(GetParam()));
-  KernelEngine ref(kernel, d.X, EngineBackend::reference);
-  KernelEngine fused(kernel, d.X, EngineBackend::dense_scatter);
-
-  // A "remote" row wider than the engine's matrix: its out-of-range feature
-  // cannot intersect the query, so skipping it is exact on both backends.
-  const auto cols = static_cast<std::int32_t>(d.X.cols());
-  std::vector<Feature> wide{{0, 0.5}, {cols / 2, -1.25}, {cols + 10, 3.0}};
-  double wide_sq = 0.0;
-  for (const Feature& f : wide) wide_sq += f.value * f.value;
-
-  ref.begin_query(d.X.row(11), ref.sq_norm(11));
-  fused.begin_query(d.X.row(11), fused.sq_norm(11));
-  for (std::size_t j = 0; j < d.size(); ++j) {
-    EXPECT_EQ(ref.query_row(d.X.row(j), ref.sq_norm(j)),
-              fused.query_row(d.X.row(j), fused.sq_norm(j)))
-        << "row " << j;
-  }
-  EXPECT_EQ(ref.query_row(wide, wide_sq), fused.query_row(wide, wide_sq));
-  ref.end_query();
-  fused.end_query();
-}
-
 INSTANTIATE_TEST_SUITE_P(AllKernels, EngineParityP,
                          ::testing::Values(KernelType::linear, KernelType::rbf,
                                            KernelType::polynomial, KernelType::sigmoid),
@@ -334,8 +310,10 @@ TEST(KernelEngineTest, StatsCountBatchedWork) {
 }
 
 TEST(KernelEngineTest, BlockRowsSimdPanelBitIdenticalToReference) {
-  // The simd backend's eval_block_rows panel branch must land on exactly the
-  // same bits as the reference merge-join: same finish_from_dot funnel, same
+  // The reference backend's eval_block_rows is the serial reconstruction
+  // ring's per-stale-sample loop. Every other backend must land on exactly
+  // its bits: the simd panel branch and both dense_scatter orientations,
+  // with and without `parallel` — same finish_from_dot funnel, same
   // ascending accumulation order, f64 resident rows.
   svmdata::synthetic::BlobsParams bp;
   bp.n = 37;  // not a multiple of the panel width: exercises the tail panel
@@ -345,22 +323,39 @@ TEST(KernelEngineTest, BlockRowsSimdPanelBitIdenticalToReference) {
   const CsrMatrix& X = data.X;
   const std::vector<double> sq = X.row_squared_norms();
 
+  // A remote ring sample wider than this rank's matrix: its feature beyond
+  // X.cols() cannot intersect any stale row, so every backend skips it.
+  std::vector<Feature> wide(X.row(5).begin(), X.row(5).end());
+  wide.push_back(Feature{static_cast<std::int32_t>(X.cols()) + 10, 3.0});
+  const std::vector<std::span<const Feature>> block{X.row(0), wide, X.row(11)};
+  const std::vector<double> block_sq{sq[0], sq[5] + 9.0, sq[11]};
+  const std::vector<double> block_coeffs{0.75, -1.25, 0.5};
+
+  // Stale sets on both sides of the adaptive orientation: every row (block
+  // <= stale, the block rows are scattered) and two rows (block > stale,
+  // the stale rows are scattered).
+  std::vector<std::uint32_t> all_rows(X.rows());
+  std::iota(all_rows.begin(), all_rows.end(), 0u);
+  const std::vector<std::vector<std::uint32_t>> stale_sets{all_rows, {4, 30}};
+
   for (const KernelType type : {KernelType::rbf, KernelType::linear}) {
-    SCOPED_TRACE(to_string(type));
     const Kernel kernel(params_for(type));
     KernelEngine ref(kernel, X, EngineBackend::reference);
-    KernelEngine simd(kernel, X, EngineBackend::simd, 0, RowFlavor::f64);
-
-    const std::vector<std::span<const Feature>> block{X.row(0), X.row(5), X.row(11)};
-    const std::vector<double> block_sq{sq[0], sq[5], sq[11]};
-    const std::vector<double> block_coeffs{0.75, -1.25, 0.5};
-    std::vector<std::uint32_t> rows(X.rows());
-    std::iota(rows.begin(), rows.end(), 0u);
-
-    std::vector<double> expect(X.rows(), 0.25), got(X.rows(), 0.25);
-    ref.eval_block_rows(block, block_sq, block_coeffs, rows, 0, expect);
-    simd.eval_block_rows(block, block_sq, block_coeffs, rows, 0, got);
-    for (std::size_t w = 0; w < rows.size(); ++w) EXPECT_EQ(got[w], expect[w]) << "row " << w;
+    for (const std::vector<std::uint32_t>& rows : stale_sets) {
+      std::vector<double> expect(rows.size(), 0.25);
+      ref.eval_block_rows(block, block_sq, block_coeffs, rows, 0, expect);
+      for (const EngineBackend backend : {EngineBackend::dense_scatter, EngineBackend::simd}) {
+        for (const bool parallel : {false, true}) {
+          SCOPED_TRACE(to_string(type) + " " + to_string(backend) + " stale=" +
+                       std::to_string(rows.size()) + (parallel ? " parallel" : ""));
+          KernelEngine engine(kernel, X, backend, 0, RowFlavor::f64);
+          std::vector<double> got(rows.size(), 0.25);
+          engine.eval_block_rows(block, block_sq, block_coeffs, rows, 0, got, parallel);
+          for (std::size_t w = 0; w < rows.size(); ++w)
+            EXPECT_EQ(got[w], expect[w]) << "stale row " << rows[w];
+        }
+      }
+    }
   }
 }
 

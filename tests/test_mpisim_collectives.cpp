@@ -208,7 +208,9 @@ TEST(CollectivesSplit, SplitByParity) {
     EXPECT_EQ(sum, color == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
     // Point-to-point within the subgroup uses sub-ranks.
     if (sub.rank() == 0) sub.send_value(color * 10, 1);
-    if (sub.rank() == 1) EXPECT_EQ(sub.recv_value<int>(0), color * 10);
+    if (sub.rank() == 1) {
+      EXPECT_EQ(sub.recv_value<int>(0), color * 10);
+    }
   });
 }
 

@@ -175,6 +175,20 @@ TEST(MetricsRegistry, CanonicalKeysAndStableHandles) {
   EXPECT_EQ(registry.histograms().size(), 1u);
 }
 
+TEST(MetricsRegistry, ValueReadsCountersAndGaugesAndZeroWhenAbsent) {
+  MetricsRegistry registry;
+  registry.counter("recon.ring_steps").add(6);
+  registry.gauge("recon.comm_s").set(0.25);
+  registry.counter("ops", {{"kind", "send"}}).add(2);
+  const MetricsRegistry& view = registry;
+  EXPECT_EQ(view.value("recon.ring_steps"), 6.0);
+  EXPECT_EQ(view.value("recon.comm_s"), 0.25);
+  EXPECT_EQ(view.value("ops{kind=send}"), 2.0);
+  EXPECT_EQ(view.value("recon.absent"), 0.0);
+  EXPECT_EQ(view.counters().size(), 2u);  // a lookup registers nothing
+  EXPECT_EQ(view.gauges().size(), 1u);
+}
+
 TEST(MetricsRegistry, AggregateSumsCountersMaxesGaugesMergesHistograms) {
   MetricsRegistry rank0;
   rank0.counter("iters").add(10);
