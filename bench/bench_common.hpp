@@ -12,9 +12,12 @@
 // paper's curves.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,12 +42,6 @@ struct BenchArgs {
   double eps = 1e-3;
   std::string trace_out;       ///< --trace-out: Chrome trace of the runs
   std::string metrics_out;     ///< --metrics-out: run report of every config
-  /// --engine-backend / --engine-flavor: kernel data-path selection for the
-  /// solver runs (training enforces f64; the flavor also picks the baseline's
-  /// cached Q-row storage). Kept as names so invalid values fail loudly at
-  /// conversion time.
-  std::string engine_backend = "dense_scatter";
-  std::string engine_flavor = "f64";
 };
 
 inline std::vector<int> parse_rank_list(const std::string& list) {
@@ -61,8 +58,8 @@ inline std::vector<int> parse_rank_list(const std::string& list) {
 
 /// Parsed flags + the standard BenchArgs. Benches with extra flags (repeats,
 /// seeds, --assert, ...) read them from `flags`; everything standard —
-/// obs paths, engine selection, scale/ranks/quick/eps — is already applied
-/// and filled into `args`.
+/// obs paths, scale/ranks/quick/eps — is already applied and filled into
+/// `args`.
 struct ParsedArgs {
   svmutil::CliFlags flags;
   BenchArgs args;
@@ -76,16 +73,14 @@ inline std::string usage_line(const std::string& argv0, const std::vector<std::s
   return line + "\n";
 }
 
-/// One-call flag wiring shared by every bench: appends the standard obs +
-/// engine flags (and scale/ranks/quick/eps/help) to the bench's own flag
-/// list, parses argv, applies --log-level, and fills BenchArgs. This is the
-/// single copy of the with_engine_flags(with_obs_flags(...)) boilerplate.
+/// One-call flag wiring shared by every bench: appends the standard obs
+/// flags (and scale/ranks/quick/eps/help) to the bench's own flag list,
+/// parses argv, applies --log-level, and fills BenchArgs.
 /// Like perfbench, --help prints the usage line and exits 0, and an unknown
 /// flag or a bad standard flag value prints it to stderr and exits 2.
 inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string> extra) {
   extra.insert(extra.end(), {"scale", "ranks", "quick!", "eps", "help!"});
-  const std::vector<std::string> known =
-      svmutil::with_engine_flags(svmutil::with_obs_flags(std::move(extra)));
+  const std::vector<std::string> known = svmutil::with_obs_flags(std::move(extra));
   const std::string usage = usage_line(argc > 0 ? argv[0] : "bench", known);
   try {
     svmutil::CliFlags flags(argc, argv, known);
@@ -96,17 +91,12 @@ inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string
     if (!flags.positional().empty())
       throw std::invalid_argument("unexpected argument '" + flags.positional()[0] + "'");
     const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-    const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
     BenchArgs args;
     args.scale = flags.get_double("scale", 1.0);
     args.quick = flags.get_bool("quick");
     args.eps = flags.get_double("eps", 1e-3);
     args.trace_out = obs.trace_out;
     args.metrics_out = obs.metrics_out;
-    args.engine_backend = engine.backend;
-    args.engine_flavor = engine.flavor;
-    (void)svmkernel::engine_backend_from_string(args.engine_backend);
-    (void)svmkernel::row_flavor_from_string(args.engine_flavor);
     if (flags.has("ranks")) args.ranks = parse_rank_list(flags.get("ranks", ""));
     if (args.quick) args.scale *= 0.25;
     return ParsedArgs{std::move(flags), std::move(args)};
@@ -118,6 +108,60 @@ inline ParsedArgs parse_args_with(int argc, char** argv, std::vector<std::string
 
 inline BenchArgs parse_args(int argc, char** argv) {
   return parse_args_with(argc, argv, {}).args;
+}
+
+/// `repeats` fused gamma-update sweeps (the solver's hot loop: every row vs
+/// a rotating (i_up, i_low) pair, the schedule interleaved_min_sweeps times),
+/// every produced value stored in `out` for bitwise cross-engine checks.
+/// `out` is sized once up front: growing it by appends instead moved
+/// bench_precision's usps simd/f32 ratio from ~1.65x to ~1.44x through heap
+/// placement alone, with the timed code unchanged.
+inline void record_sweeps(svmkernel::KernelEngine& engine, const svmdata::Dataset& train,
+                          int repeats, std::vector<double>& out) {
+  const std::size_t n = train.size();
+  std::vector<double> k_up(n), k_low(n);
+  out.resize(static_cast<std::size_t>(repeats) * n * 2);
+  for (int r = 0; r < repeats; ++r) {
+    const std::size_t up = static_cast<std::size_t>(r) * 2 % n;
+    const std::size_t low = (up + n / 2 + 1) % n;
+    engine.eval_pair_range(train.X.row(up), engine.sq_norm(up), train.X.row(low),
+                           engine.sq_norm(low), 0, n, k_up, k_low);
+    double* at = out.data() + 2 * static_cast<std::size_t>(r) * n;
+    std::copy(k_up.begin(), k_up.end(), at);
+    std::copy(k_low.begin(), k_low.end(), at + n);
+  }
+}
+
+/// Min-time estimator for a time-shared core, sampling every engine
+/// round-robin with one fused gamma-update sweep (every row vs a rotating
+/// pair) per sample. Two noise sources shape this design. (1) Window averages
+/// are the wrong tool: any window long enough to amortize timer overhead also
+/// spans scheduler quanta, so every window is inflated by whoever preempted
+/// it. One sweep is tens of microseconds — far below a scheduling quantum —
+/// so most single-sweep samples run interruption-free and the per-engine
+/// minimum converges on the clean compute time. (2) The core drifts between
+/// frequency states over seconds; timing engines in separate back-to-back
+/// blocks lets that drift land on one side of a speedup ratio (observed: the
+/// scalar baseline swinging ~40% between otherwise identical runs).
+/// Interleaving the samples puts every engine in every machine state, so the
+/// minima compare like with like. Returns per-engine seconds for one sweep.
+inline std::vector<double> interleaved_min_sweeps(
+    std::vector<std::unique_ptr<svmkernel::KernelEngine>>& engines,
+    const svmdata::Dataset& train, int samples) {
+  const std::size_t n = train.size();
+  std::vector<double> k_up(n), k_low(n);
+  std::vector<double> best(engines.size(), std::numeric_limits<double>::infinity());
+  for (int s = 0; s < samples; ++s) {
+    const std::size_t up = static_cast<std::size_t>(s) * 2 % n;
+    const std::size_t low = (up + n / 2 + 1) % n;
+    for (std::size_t c = 0; c < engines.size(); ++c) {
+      svmutil::Timer timer;
+      engines[c]->eval_pair_range(train.X.row(up), engines[c]->sq_norm(up), train.X.row(low),
+                                  engines[c]->sq_norm(low), 0, n, k_up, k_low);
+      best[c] = std::min(best[c], timer.seconds());
+    }
+  }
+  return best;
 }
 
 inline void print_banner(const std::string& artifact, const std::string& paper_summary) {
@@ -132,15 +176,6 @@ inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, double e
   p.C = entry.C;
   p.eps = eps;
   p.kernel = svmkernel::KernelParams::rbf_with_sigma_sq(entry.sigma_sq);
-  return p;
-}
-
-/// BenchArgs-aware variant: also applies the --engine-backend /
-/// --engine-flavor selection (name conversion throws on unknown values).
-inline svmcore::SolverParams params_for(const svmdata::ZooEntry& entry, const BenchArgs& args) {
-  svmcore::SolverParams p = params_for(entry, args.eps);
-  p.engine_backend = svmkernel::engine_backend_from_string(args.engine_backend);
-  p.engine_flavor = svmkernel::row_flavor_from_string(args.engine_flavor);
   return p;
 }
 
@@ -220,19 +255,6 @@ inline svmbaseline::BaselineResult run_baseline(const svmdata::Dataset& train,
   return svmbaseline::solve_libsvm_like(train, options);
 }
 
-/// BenchArgs-aware variant: the --engine-flavor selection picks the
-/// baseline's cached Q-row storage (its one flavor-sensitive data path).
-inline svmbaseline::BaselineResult run_baseline(const svmdata::Dataset& train,
-                                                const svmdata::ZooEntry& entry,
-                                                const BenchArgs& args) {
-  svmbaseline::BaselineOptions options;
-  options.C = entry.C;
-  options.eps = args.eps;
-  options.kernel = svmkernel::KernelParams::rbf_with_sigma_sq(entry.sigma_sq);
-  options.q_flavor = svmkernel::row_flavor_from_string(args.engine_flavor);
-  return svmbaseline::solve_libsvm_like(train, options);
-}
-
 inline void print_baseline_line(const svmbaseline::BaselineResult& baseline) {
   std::printf(
       "libsvm-enhanced baseline: %.2f s wall, %llu iterations, cache hit rate %.1f%%\n\n",
@@ -259,10 +281,8 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
   const double scale = scale_hint * args.scale;
   const svmdata::Dataset train = svmdata::make_train(entry, scale);
   std::printf(
-      "container workload: n=%zu, d=%zu, density %.2f%%, C=%g, sigma^2=%g, "
-      "engine=%s/%s\n\n",
-      train.size(), train.dim(), 100.0 * train.X.density(), entry.C, entry.sigma_sq,
-      args.engine_backend.c_str(), args.engine_flavor.c_str());
+      "container workload: n=%zu, d=%zu, density %.2f%%, C=%g, sigma^2=%g\n\n",
+      train.size(), train.dim(), 100.0 * train.X.density(), entry.C, entry.sigma_sq);
 
   const std::vector<int> rank_list = args.ranks.empty() ? default_ranks : args.ranks;
   // Every configuration of the sweep lands on one trace timeline (separated
@@ -273,7 +293,7 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
     svmobs::trace_enable();
   }
   std::vector<svmobs::RunReport> reports;
-  const auto rows = run_scaling(train, params_for(entry, args), rank_list,
+  const auto rows = run_scaling(train, params_for(entry, args.eps), rank_list,
                                 args.metrics_out.empty() ? nullptr : &reports);
   if (!args.trace_out.empty()) {
     svmobs::trace_disable();
@@ -287,7 +307,7 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
   print_scaling_table(rows);
   std::printf("\n");
 
-  const auto baseline = run_baseline(train, entry, args);
+  const auto baseline = run_baseline(train, entry, args.eps);
   print_baseline_line(baseline);
 
   // Shape checks the paper's figure makes: Best <= Default and Best <= Worst

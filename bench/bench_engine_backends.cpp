@@ -1,22 +1,26 @@
-// KernelEngine backend comparison: gamma-update throughput of the fused
-// dense_scatter path and the vectorized simd RowStore path vs the reference
-// sparse merge join, on the two dataset shapes that bracket the zoo — higgs
-// (dense low-dimensional tabular rows) and url (high-dimensional sparse
-// binary rows; the dense RowStore is honest about how badly panels fit that
-// shape). The inner loop is exactly the solver's hot loop: one (i_up, i_low)
-// pair evaluated against every active row. Results go to stdout as a table
-// and to BENCH_engine.json as a machine-readable artifact; the run aborts
-// with a nonzero exit if any backend ever disagrees by a single bit.
+// KernelEngine path comparison: gamma-update throughput of the fused
+// dense_scatter path and the vectorized simd RowStore panels vs the
+// reference sparse merge join, swept across every zoo shape from dense
+// low-dimensional tabular rows (higgs, codrna, forest) to high-dimensional
+// sparse binary rows (url, realsim). A panel row costs its full column
+// count and a scatter row its nonzeros, so the sweep locates the density at
+// which the two paths cross — the measurement kPanelDensity, the cut the
+// `automatic` path applies, is placed on. The inner loop is exactly the
+// solver's hot loop: one (i_up, i_low) pair evaluated against every row,
+// timed as the per-path minimum over interleaved single-sweep samples. Each
+// shape also runs one whole solve on dense_scatter and on automatic.
+// Results go to stdout as a table and to BENCH_engine.json; the run exits
+// nonzero if any path ever disagrees with the reference by a single bit.
 //
 // Usage: bench_engine_backends [--scale S] [--repeats R] [--quick]
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "kernel/kernel_engine.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -25,57 +29,20 @@ using svmkernel::EngineBackend;
 using svmkernel::Kernel;
 using svmkernel::KernelEngine;
 
-struct BackendTiming {
-  double seconds = 0.0;
-  double pairs_per_s = 0.0;       ///< fused (K_up, K_low) sample evaluations / s
-  std::uint64_t bytes_streamed = 0;
-};
-
 struct DatasetReport {
   std::string name;
   std::size_t n = 0;
   std::size_t d = 0;
   double density = 0.0;
-  BackendTiming reference;
-  BackendTiming dense_scatter;
-  BackendTiming simd;
-  double speedup = 0.0;
-  double simd_speedup = 0.0;
+  double reference_pairs_per_s = 0.0;  ///< fused (K_up, K_low) sample evaluations / s
+  double dense_scatter_pairs_per_s = 0.0;
+  double simd_pairs_per_s = 0.0;
+  std::string automatic_path;  ///< what `automatic` resolves to on these rows
+  bool automatic_is_faster = false;  ///< it picked the faster of the two paths
   bool parity_ok = true;
-  double train_reference_s = 0.0;
-  double train_dense_s = 0.0;
-  double train_speedup = 0.0;
+  double train_dense_scatter_s = 0.0;
+  double train_automatic_s = 0.0;
 };
-
-/// Times `repeats` full gamma-update sweeps (every row vs a rotating pair,
-/// mirroring the solver where (i_up, i_low) changes every iteration) and
-/// records every produced value into `out_up`/`out_low` (sized repeats * n)
-/// for the bitwise cross-backend check.
-BackendTiming time_backend(const Dataset& train, const Kernel& kernel, EngineBackend backend,
-                           int repeats, std::vector<double>& out_up,
-                           std::vector<double>& out_low) {
-  const std::size_t n = train.size();
-  KernelEngine engine(kernel, train.X, backend);
-  std::vector<double> k_up(n), k_low(n);
-
-  svmutil::Timer timer;
-  for (int r = 0; r < repeats; ++r) {
-    const std::size_t up = static_cast<std::size_t>(r) * 2 % n;
-    const std::size_t low = (up + n / 2 + 1) % n;
-    engine.eval_pair_range(train.X.row(up), engine.sq_norm(up), train.X.row(low),
-                           engine.sq_norm(low), 0, n, k_up, k_low);
-    for (std::size_t i = 0; i < n; ++i) {
-      out_up[static_cast<std::size_t>(r) * n + i] = k_up[i];
-      out_low[static_cast<std::size_t>(r) * n + i] = k_low[i];
-    }
-  }
-  BackendTiming t;
-  t.seconds = timer.seconds();
-  t.pairs_per_s =
-      t.seconds > 0 ? static_cast<double>(repeats) * static_cast<double>(n) / t.seconds : 0.0;
-  t.bytes_streamed = engine.stats().bytes_streamed;
-  return t;
-}
 
 DatasetReport run_dataset(const std::string& name, double scale, int repeats, double eps) {
   const svmdata::ZooEntry& entry = svmdata::zoo_entry(name);
@@ -89,42 +56,39 @@ DatasetReport run_dataset(const std::string& name, double scale, int repeats, do
   report.d = train.dim();
   report.density = train.X.density();
 
-  // Both backends run the identical schedule; every value is compared
-  // bitwise afterwards.
-  std::vector<double> ref_up(static_cast<std::size_t>(repeats) * n);
-  std::vector<double> ref_low(static_cast<std::size_t>(repeats) * n);
-  std::vector<double> fused_up(ref_up.size());
-  std::vector<double> fused_low(ref_low.size());
-  std::vector<double> simd_up(ref_up.size());
-  std::vector<double> simd_low(ref_low.size());
-  report.reference =
-      time_backend(train, kernel, EngineBackend::reference, repeats, ref_up, ref_low);
-  report.dense_scatter =
-      time_backend(train, kernel, EngineBackend::dense_scatter, repeats, fused_up, fused_low);
-  report.simd = time_backend(train, kernel, EngineBackend::simd, repeats, simd_up, simd_low);
-  for (std::size_t i = 0; i < ref_up.size(); ++i)
-    if (fused_up[i] != ref_up[i] || fused_low[i] != ref_low[i] || simd_up[i] != ref_up[i] ||
-        simd_low[i] != ref_low[i])
-      report.parity_ok = false;
-  report.speedup = report.reference.seconds > 0 && report.dense_scatter.seconds > 0
-                       ? report.reference.seconds / report.dense_scatter.seconds
-                       : 0.0;
-  report.simd_speedup = report.reference.seconds > 0 && report.simd.seconds > 0
-                            ? report.reference.seconds / report.simd.seconds
-                            : 0.0;
+  // Every path runs the identical schedule; every value is compared bitwise
+  // against the reference afterwards.
+  std::vector<std::unique_ptr<KernelEngine>> engines;
+  std::vector<std::vector<double>> values(3);
+  for (const EngineBackend path :
+       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::simd}) {
+    engines.push_back(std::make_unique<KernelEngine>(kernel, train.X, path));
+    svmbench::record_sweeps(*engines.back(), train, repeats, values[engines.size() - 1]);
+  }
+  report.parity_ok = values[1] == values[0] && values[2] == values[0];
+  const std::vector<double> sweep_s = svmbench::interleaved_min_sweeps(engines, train, repeats);
+  const auto rate = [&](std::size_t c) {
+    return sweep_s[c] > 0 ? static_cast<double>(n) / sweep_s[c] : 0.0;
+  };
+  report.reference_pairs_per_s = rate(0);
+  report.dense_scatter_pairs_per_s = rate(1);
+  report.simd_pairs_per_s = rate(2);
 
-  // End-to-end: the same solve with each backend (identical models are
-  // test-enforced; here we time them).
+  const EngineBackend resolved = KernelEngine(kernel, train.X, EngineBackend::automatic).backend();
+  report.automatic_path = svmkernel::to_string(resolved);
+  report.automatic_is_faster =
+      (resolved == EngineBackend::simd) ==
+      (report.simd_pairs_per_s >= report.dense_scatter_pairs_per_s);
+
+  // End-to-end: the same solve on the forced scatter path and on the path
+  // the rule picks (identical models are test-enforced; here we time them).
   svmcore::SolverParams params = svmbench::params_for(entry, eps);
   svmcore::TrainOptions options;
   options.num_ranks = 1;
-  params.engine_backend = EngineBackend::reference;
-  report.train_reference_s = svmcore::train(train, params, options).solve_seconds;
   params.engine_backend = EngineBackend::dense_scatter;
-  report.train_dense_s = svmcore::train(train, params, options).solve_seconds;
-  report.train_speedup = report.train_dense_s > 0 && report.train_reference_s > 0
-                             ? report.train_reference_s / report.train_dense_s
-                             : 0.0;
+  report.train_dense_scatter_s = svmcore::train(train, params, options).solve_seconds;
+  params.engine_backend = EngineBackend::automatic;
+  report.train_automatic_s = svmcore::train(train, params, options).solve_seconds;
   return report;
 }
 
@@ -134,7 +98,10 @@ void write_json(const std::vector<DatasetReport>& reports, const char* path) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"engine_backends\",\n  \"datasets\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"engine_backends\",\n  \"panel_density_cut\": %.3f,\n"
+               "  \"datasets\": [\n",
+               svmkernel::kPanelDensity);
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const DatasetReport& r = reports[i];
     std::fprintf(f,
@@ -143,22 +110,22 @@ void write_json(const std::vector<DatasetReport>& reports, const char* path) {
                  "      \"n\": %zu,\n"
                  "      \"d\": %zu,\n"
                  "      \"density\": %.6f,\n"
-                 "      \"reference\": {\"seconds\": %.6f, \"pairs_per_s\": %.1f},\n"
-                 "      \"dense_scatter\": {\"seconds\": %.6f, \"pairs_per_s\": %.1f, "
-                 "\"bytes_streamed\": %" PRIu64 "},\n"
-                 "      \"simd\": {\"seconds\": %.6f, \"pairs_per_s\": %.1f},\n"
-                 "      \"gamma_update_speedup\": %.3f,\n"
-                 "      \"simd_gamma_update_speedup\": %.3f,\n"
-                 "      \"train_reference_s\": %.4f,\n"
+                 "      \"reference\": {\"pairs_per_s\": %.1f},\n"
+                 "      \"dense_scatter\": {\"pairs_per_s\": %.1f},\n"
+                 "      \"simd\": {\"pairs_per_s\": %.1f},\n"
+                 "      \"simd_vs_scatter_speedup\": %.3f,\n"
+                 "      \"automatic_path\": \"%s\",\n"
+                 "      \"automatic_is_faster\": %s,\n"
                  "      \"train_dense_scatter_s\": %.4f,\n"
-                 "      \"train_speedup\": %.3f,\n"
+                 "      \"train_automatic_s\": %.4f,\n"
                  "      \"parity_ok\": %s\n"
                  "    }%s\n",
-                 r.name.c_str(), r.n, r.d, r.density, r.reference.seconds,
-                 r.reference.pairs_per_s, r.dense_scatter.seconds, r.dense_scatter.pairs_per_s,
-                 r.dense_scatter.bytes_streamed, r.simd.seconds, r.simd.pairs_per_s, r.speedup,
-                 r.simd_speedup, r.train_reference_s, r.train_dense_s, r.train_speedup,
-                 r.parity_ok ? "true" : "false", i + 1 < reports.size() ? "," : "");
+                 r.name.c_str(), r.n, r.d, r.density, r.reference_pairs_per_s,
+                 r.dense_scatter_pairs_per_s, r.simd_pairs_per_s,
+                 r.simd_pairs_per_s / r.dense_scatter_pairs_per_s, r.automatic_path.c_str(),
+                 r.automatic_is_faster ? "true" : "false", r.train_dense_scatter_s,
+                 r.train_automatic_s, r.parity_ok ? "true" : "false",
+                 i + 1 < reports.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -172,40 +139,44 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.get_double("repeats", args.quick ? 20 : 100));
 
   svmbench::print_banner(
-      "KernelEngine backends - fused dense-scatter vs reference merge join",
-      "gamma-update throughput on the higgs (dense tabular) and url (sparse "
-      "binary) shapes; bit-parity verified inline");
+      "KernelEngine paths - panels vs dense scatter vs reference merge join",
+      "gamma-update throughput across the zoo shapes, the density crossover "
+      "behind kPanelDensity, and whole solves; bit-parity verified inline");
 
+  // Throughput probes: a quarter of each shape's container default size.
   std::vector<DatasetReport> reports;
-  for (const char* name : {"higgs", "url"})
-    reports.push_back(run_dataset(name, args.scale, repeats, args.eps));
+  for (const svmdata::ZooEntry& entry : svmdata::zoo())
+    reports.push_back(run_dataset(entry.name, args.scale * 0.25, repeats, args.eps));
+  std::sort(reports.begin(), reports.end(),
+            [](const DatasetReport& a, const DatasetReport& b) { return a.density > b.density; });
 
-  svmutil::TextTable table({"dataset", "n", "d", "density %", "ref pairs/s", "fused pairs/s",
-                            "simd pairs/s", "speedup", "simd speedup", "train ref s",
-                            "train fused s", "train speedup", "parity"});
+  svmutil::TextTable table({"dataset", "n", "d", "density %", "ref pairs/s", "scatter pairs/s",
+                            "simd pairs/s", "simd/scatter", "automatic", "train scatter s",
+                            "train auto s", "parity"});
+  int faster = 0;
   for (const DatasetReport& r : reports) {
+    faster += r.automatic_is_faster ? 1 : 0;
     table.add_row({r.name, svmutil::TextTable::integer(static_cast<long long>(r.n)),
                    svmutil::TextTable::integer(static_cast<long long>(r.d)),
                    svmutil::TextTable::num(100.0 * r.density, 2),
-                   svmutil::TextTable::num(r.reference.pairs_per_s / 1000.0, 1) + "k",
-                   svmutil::TextTable::num(r.dense_scatter.pairs_per_s / 1000.0, 1) + "k",
-                   svmutil::TextTable::num(r.simd.pairs_per_s / 1000.0, 1) + "k",
-                   svmutil::TextTable::num(r.speedup, 2),
-                   svmutil::TextTable::num(r.simd_speedup, 2),
-                   svmutil::TextTable::num(r.train_reference_s, 3),
-                   svmutil::TextTable::num(r.train_dense_s, 3),
-                   svmutil::TextTable::num(r.train_speedup, 2),
+                   svmutil::TextTable::num(r.reference_pairs_per_s / 1000.0, 1) + "k",
+                   svmutil::TextTable::num(r.dense_scatter_pairs_per_s / 1000.0, 1) + "k",
+                   svmutil::TextTable::num(r.simd_pairs_per_s / 1000.0, 1) + "k",
+                   svmutil::TextTable::num(r.simd_pairs_per_s / r.dense_scatter_pairs_per_s, 3),
+                   r.automatic_path + (r.automatic_is_faster ? "" : " (slower)"),
+                   svmutil::TextTable::num(r.train_dense_scatter_s, 3),
+                   svmutil::TextTable::num(r.train_automatic_s, 3),
                    r.parity_ok ? "OK" : "BROKEN"});
   }
   table.print();
-  std::printf("\n");
+  std::printf("\nkPanelDensity = %.2f: automatic takes the faster path on %d of %zu shapes\n\n",
+              svmkernel::kPanelDensity, faster, reports.size());
 
   write_json(reports, "BENCH_engine.json");
 
   for (const DatasetReport& r : reports) {
     if (!r.parity_ok) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s: backends disagree bitwise\n",
-                   r.name.c_str());
+      std::fprintf(stderr, "PARITY VIOLATION on %s: paths disagree bitwise\n", r.name.c_str());
       return 1;
     }
   }

@@ -13,14 +13,12 @@
 // Usage: bench_precision [--scale S] [--repeats R] [--quick] [--assert]
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "kernel/kernel_engine.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -48,62 +46,6 @@ struct DatasetReport {
   double simd_f32_speedup_vs_scalar = 0.0;
 };
 
-/// Runs `repeats` fused gamma-update sweeps (the solver's hot loop). When
-/// `out` is non-null, captures every produced value for the cross-config
-/// bitwise check (timed trials pass null so the window is pure kernel work).
-double run_sweeps(KernelEngine& engine, const Dataset& train, int repeats,
-                  std::vector<double>* out) {
-  const std::size_t n = train.size();
-  std::vector<double> k_up(n), k_low(n);
-  if (out != nullptr) out->resize(static_cast<std::size_t>(repeats) * n * 2);
-  svmutil::Timer timer;
-  for (int r = 0; r < repeats; ++r) {
-    const std::size_t up = static_cast<std::size_t>(r) * 2 % n;
-    const std::size_t low = (up + n / 2 + 1) % n;
-    engine.eval_pair_range(train.X.row(up), engine.sq_norm(up), train.X.row(low),
-                           engine.sq_norm(low), 0, n, k_up, k_low);
-    if (out != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        (*out)[(static_cast<std::size_t>(r) * n + i) * 2] = k_up[i];
-        (*out)[(static_cast<std::size_t>(r) * n + i) * 2 + 1] = k_low[i];
-      }
-    }
-  }
-  return timer.seconds();
-}
-
-/// Min-time estimator for a time-shared single core, sampling every config
-/// round-robin. Two noise sources shape this design. (1) Window averages are
-/// the wrong tool: any window long enough to amortize timer overhead also
-/// spans scheduler quanta, so every window is inflated by whoever preempted
-/// it. One sweep is tens of microseconds — far below a scheduling quantum —
-/// so most single-sweep samples run interruption-free and the per-config
-/// minimum converges on the clean compute time. (2) The core drifts between
-/// frequency states over seconds; timing configs in separate back-to-back
-/// blocks lets that drift land on one side of a speedup ratio (observed: the
-/// scalar baseline swinging ~40% between otherwise identical runs).
-/// Interleaving the samples puts every config in every machine state, so the
-/// minima compare like with like. Returns per-engine seconds for one sweep.
-std::vector<double> interleaved_min_sweeps(std::vector<std::unique_ptr<KernelEngine>>& engines,
-                                           const Dataset& train, int repeats) {
-  const std::size_t n = train.size();
-  std::vector<double> k_up(n), k_low(n);
-  const int samples = repeats * 5 > 500 ? repeats * 5 : 500;
-  std::vector<double> best(engines.size(), std::numeric_limits<double>::infinity());
-  for (int s = 0; s < samples; ++s) {
-    const std::size_t up = static_cast<std::size_t>(s) * 2 % n;
-    const std::size_t low = (up + n / 2 + 1) % n;
-    for (std::size_t c = 0; c < engines.size(); ++c) {
-      svmutil::Timer timer;
-      engines[c]->eval_pair_range(train.X.row(up), engines[c]->sq_norm(up), train.X.row(low),
-                                  engines[c]->sq_norm(low), 0, n, k_up, k_low);
-      const double t = timer.seconds();
-      if (t < best[c]) best[c] = t;
-    }
-  }
-  return best;
-}
-
 DatasetReport run_dataset(const std::string& name, double scale, int repeats, double eps) {
   const svmdata::ZooEntry& entry = svmdata::zoo_entry(name);
   const Dataset train = svmdata::make_train(entry, scale);
@@ -120,8 +62,8 @@ DatasetReport run_dataset(const std::string& name, double scale, int repeats, do
   report.d = train.dim();
   report.test_n = test.size();
 
-  // One model for the accuracy leg (scalar f64 training; the flavors only
-  // change how PREDICTION evaluates it).
+  // One model for the accuracy leg (f64 training; the flavors only change
+  // how PREDICTION evaluates it).
   svmcore::SolverParams params = svmbench::params_for(entry, eps);
   svmcore::TrainOptions options;
   options.num_ranks = 1;
@@ -156,9 +98,10 @@ DatasetReport run_dataset(const std::string& name, double scale, int repeats, do
     engines.push_back(std::make_unique<KernelEngine>(kernel, train.X, configs[c].backend, 0, n,
                                                      /*cache_budget_bytes=*/0,
                                                      configs[c].flavor));
-    (void)run_sweeps(*engines[c], train, repeats, &values[c]);
+    svmbench::record_sweeps(*engines[c], train, repeats, values[c]);
   }
-  const std::vector<double> sweep_seconds = interleaved_min_sweeps(engines, train, repeats);
+  const std::vector<double> sweep_seconds =
+      svmbench::interleaved_min_sweeps(engines, train, repeats * 5 > 500 ? repeats * 5 : 500);
 
   for (std::size_t c = 0; c < n_configs; ++c) {
     ConfigReport r;

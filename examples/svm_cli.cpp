@@ -4,8 +4,9 @@
 //   svm_cli train    data.libsvm model.out  [--c 10] [--sigma-sq 4] [--gamma G]
 //                    [--eps 1e-3] [--ranks 4] [--heuristic Multi5pc]
 //                    [--kernel rbf|linear|polynomial|sigmoid] [--baseline]
-//                    [--w-pos W] [--w-neg W]
+//                    [--w-pos W] [--w-neg W] [--engine-flavor f64|f32|f16|i8]
 //   svm_cli predict  data.libsvm model.in   [--out predictions.txt]
+//                    [--engine-flavor f64|f32|f16|i8]
 //   svm_cli cv       data.libsvm            [--folds 10] [--c-grid 1,10,32]
 //                    [--gamma-grid 0.015625,0.25,1]
 //   svm_cli regress  data.libsvm model.out  [--c 10] [--tube 0.1] [--sigma-sq 4]
@@ -14,9 +15,13 @@
 // For `regress`, labels in the file are treated as real-valued targets; for
 // `outliers`, labels are ignored. With --baseline, `train` uses the
 // libsvm-style reference solver instead of the distributed shrinking solver.
+// --engine-flavor sets the precision of --baseline's cached Q rows and of
+// predict's support-vector rows; training itself always runs f64, and the
+// kernel engine picks its own evaluation path.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "baseline/libsvm_like.hpp"
@@ -42,12 +47,11 @@ int usage(const char* program) {
       "               broadcasts; [--pbm-blocks B] fixes the block count, default\n"
       "               = ranks)\n"
       "              [--w-pos W] [--w-neg W]\n"
-      "              [--engine-backend reference|dense_scatter|cached|simd]\n"
-      "              [--engine-flavor f64]   (training requires f64; --baseline\n"
-      "               accepts f32/f16/i8 for its compressed Q-row cache)\n"
+      "              [--engine-flavor f64|f32|f16|i8]   (--baseline only: the\n"
+      "               precision of its cached Q rows)\n"
       "              [--log-level L] [--trace-out trace.json] [--metrics-out m.json]\n"
       "  %s predict  <data> <model-in> [--out predictions.txt]\n"
-      "              [--engine-backend B] [--engine-flavor f64|f32|f16|i8]\n"
+      "              [--engine-flavor f64|f32|f16|i8]   (support-vector precision)\n"
       "  %s cv       <data> [--folds K] [--c-grid a,b,..] [--gamma-grid a,b,..]\n"
       "  %s regress  <data> <model-out> [--c C] [--tube T] [--sigma-sq S]\n"
       "  %s outliers <data> <model-out> [--nu NU] [--sigma-sq S]\n",
@@ -79,7 +83,6 @@ std::vector<double> parse_grid(const std::string& list) {
 
 int run_train(const svmutil::CliFlags& flags) {
   const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
-  const svmutil::EngineChoice engine = svmutil::apply_engine_flags(flags);
   const svmdata::Dataset train = svmdata::read_libsvm_file(flags.positional()[1]);
   const std::string model_path = flags.positional()[2];
   const svmkernel::KernelParams kernel = kernel_from(flags);
@@ -94,21 +97,22 @@ int run_train(const svmutil::CliFlags& flags) {
     options.weight_negative = flags.get_double("w-neg", 1.0);
     options.eps = eps;
     options.kernel = kernel;
-    options.q_flavor = svmkernel::row_flavor_from_string(engine.flavor);
+    options.q_flavor = svmkernel::row_flavor_from_string(flags.get("engine-flavor", "f64"));
     const auto result = svmbaseline::solve_libsvm_like(train, options);
     std::printf("baseline: %llu iterations, cache hit rate %.1f%%\n",
                 static_cast<unsigned long long>(result.iterations),
                 100.0 * result.cache_hit_rate);
     model = svmcore::build_model(train, result.alpha, result.rho, kernel);
   } else {
+    if (flags.has("engine-flavor"))
+      throw std::invalid_argument(
+          "--engine-flavor applies to predict and --baseline only (training runs f64)");
     svmcore::SolverParams params;
     params.C = C;
     params.eps = eps;
     params.kernel = kernel;
     params.weight_positive = flags.get_double("w-pos", 1.0);
     params.weight_negative = flags.get_double("w-neg", 1.0);
-    params.engine_backend = svmkernel::engine_backend_from_string(engine.backend);
-    params.engine_flavor = svmkernel::row_flavor_from_string(engine.flavor);
     params.algo = svmcore::solver_algo_from_string(flags.get("solver", "smo"));
     params.pbm_blocks = static_cast<int>(flags.get_int("pbm-blocks", 0));
     svmcore::TrainOptions options;
@@ -139,15 +143,15 @@ int run_train(const svmutil::CliFlags& flags) {
 }
 
 int run_predict(const svmutil::CliFlags& flags) {
-  const svmutil::EngineChoice choice = svmutil::apply_engine_flags(flags);
+  const svmkernel::RowFlavor flavor =
+      svmkernel::row_flavor_from_string(flags.get("engine-flavor", "f64"));
   const svmdata::Dataset data = svmdata::read_libsvm_file(flags.positional()[1]);
   const svmcore::SvmModel model = svmcore::SvmModel::load_file(flags.positional()[2]);
 
-  // One engine for the whole prediction sweep; flavored engines (simd +
-  // f32/f16/i8) trade exactness for compressed support-vector storage.
+  // One engine for the whole prediction sweep; flavored engines (f32/f16/i8
+  // panels) trade exactness for compressed support-vector storage.
   svmkernel::KernelEngine engine =
-      model.make_engine(svmkernel::engine_backend_from_string(choice.backend),
-                        svmkernel::row_flavor_from_string(choice.flavor));
+      model.make_engine(svmkernel::EngineBackend::automatic, flavor);
   std::vector<double> predictions(data.size());
   for (std::size_t i = 0; i < data.size(); ++i)
     predictions[i] = model.decision_value(data.X.row(i), engine) >= 0.0 ? 1.0 : -1.0;
@@ -258,10 +262,10 @@ int main(int argc, char** argv) {
   try {
     const svmutil::CliFlags flags(
         argc, argv,
-        svmutil::with_engine_flags(svmutil::with_obs_flags(
-            {"c", "sigma-sq", "gamma", "eps", "ranks", "heuristic", "kernel", "baseline!", "out",
-             "solver", "pbm-blocks", "w-pos", "w-neg", "folds", "c-grid", "gamma-grid", "tube",
-             "nu"})));
+        svmutil::with_obs_flags({"c", "sigma-sq", "gamma", "eps", "ranks", "heuristic", "kernel",
+                                 "baseline!", "out", "solver", "pbm-blocks", "w-pos", "w-neg",
+                                 "folds", "c-grid", "gamma-grid", "tube", "nu",
+                                 "engine-flavor"}));
     if (flags.positional().size() < 2) return usage(argv[0]);
     const std::string& mode = flags.positional()[0];
     if (mode == "cv") return run_cv(flags);

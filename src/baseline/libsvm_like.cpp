@@ -17,11 +17,11 @@ BaselineResult solve_libsvm_like(const svmdata::Dataset& dataset,
 
   svmutil::Timer timer;
   const svmkernel::Kernel kernel(options.kernel);
-  // Cached engine backend: k_row_floats computes Q_ij = y_i y_j K_ij rows
-  // (set_row_scale bakes the labels in) through the dense scatter path and
-  // serves repeats from the LRU row cache. The paper's OpenMP enhancement
-  // parallelizes exactly this row computation.
-  svmkernel::KernelEngine engine(kernel, dataset.X, svmkernel::EngineBackend::cached,
+  // k_row_floats computes Q_ij = y_i y_j K_ij rows (set_row_scale bakes the
+  // labels in) through the dense scatter path and serves repeats from the
+  // LRU row cache; it never reads panels, so the path is forced. The paper's
+  // OpenMP enhancement parallelizes exactly this row computation.
+  svmkernel::KernelEngine engine(kernel, dataset.X, svmkernel::EngineBackend::dense_scatter,
                                  options.cache_mb * (std::size_t{1} << 20),
                                  options.q_flavor);
   engine.set_row_scale(dataset.y);

@@ -34,9 +34,10 @@ NuSvrResult solve_nu_svr(const svmdata::CsrMatrix& X, std::span<const double> ta
   svmutil::Timer timer;
   const std::size_t l = 2 * n;
   const svmkernel::Kernel kernel(options.kernel);
-  // Raw K rows per real sample via the cached engine backend; Q rows are
-  // materialized locally with the sign pattern (as in epsilon-SVR).
-  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::cached,
+  // Raw K rows per real sample from the engine's Q-row cache (scatter path:
+  // no panels are read); Q rows are materialized locally with the sign
+  // pattern (as in epsilon-SVR).
+  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
                                  options.cache_mb * (std::size_t{1} << 20),
                                  options.q_flavor);
 

@@ -30,8 +30,8 @@ OneClassResult solve_one_class(const svmdata::CsrMatrix& X, const OneClassOption
 
   svmutil::Timer timer;
   const svmkernel::Kernel kernel(options.kernel);
-  // Unscaled Q = K for one-class: cached engine rows, no row scale.
-  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::cached,
+  // Unscaled Q = K for one-class: cached scatter-path rows, no row scale.
+  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
                                  options.cache_mb * (std::size_t{1} << 20),
                                  options.q_flavor);
 

@@ -32,9 +32,10 @@ SvrResult solve_svr(const svmdata::CsrMatrix& X, std::span<const double> targets
   svmutil::Timer timer;
   const std::size_t l = 2 * n;
   const svmkernel::Kernel kernel(options.kernel);
-  // Raw (unscaled) K rows per real sample, via the cached engine backend;
-  // the 2n-length Q rows are materialized locally with the sign pattern.
-  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::cached,
+  // Raw (unscaled) K rows per real sample from the engine's Q-row cache
+  // (scatter path: no panels are read); the 2n-length Q rows are
+  // materialized locally with the sign pattern.
+  svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
                                  options.cache_mb * (std::size_t{1} << 20),
                                  options.q_flavor);
 

@@ -7,16 +7,13 @@
 namespace svmcore {
 
 ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
-                                     const svmdata::Dataset& dataset,
-                                     svmkernel::EngineBackend backend,
-                                     svmkernel::RowFlavor flavor) {
+                                     const svmdata::Dataset& dataset) {
   const svmdata::BlockRange range =
       svmdata::block_range(dataset.size(), comm.size(), comm.rank());
 
-  // One engine per rank: each query row scatters once and streams the
-  // support vectors in a single fused pass (bit-identical to model.predict
-  // at f64; flavored engines serve the compressed accuracy-gated mode).
-  svmkernel::KernelEngine engine = model.make_engine(backend, flavor);
+  // One engine per rank: each query row is one batched pass over the
+  // support vectors (bit-identical to model.predict).
+  svmkernel::KernelEngine engine = model.make_engine();
   ConfusionMatrix local;
   for (std::size_t i = range.begin; i < range.end; ++i) {
     const bool predicted_positive = model.decision_value(dataset.X.row(i), engine) >= 0.0;
@@ -48,9 +45,8 @@ ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
 }
 
 double distributed_accuracy(svmmpi::Comm& comm, const SvmModel& model,
-                            const svmdata::Dataset& dataset,
-                            svmkernel::EngineBackend backend, svmkernel::RowFlavor flavor) {
-  return distributed_evaluate(comm, model, dataset, backend, flavor).accuracy();
+                            const svmdata::Dataset& dataset) {
+  return distributed_evaluate(comm, model, dataset).accuracy();
 }
 
 }  // namespace svmcore

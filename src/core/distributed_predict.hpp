@@ -13,18 +13,13 @@ namespace svmcore {
 
 /// Predicts this rank's block of `dataset` (by block_range of comm size/rank)
 /// and Allreduces the confusion counts; every rank returns the global matrix.
-/// `backend`/`flavor` select each rank's scoring engine: any backend at f64
-/// is bit-identical to model.predict; reduced flavors (simd backend) score
-/// against compressed support vectors — the accuracy-gated serving mode.
-[[nodiscard]] ConfusionMatrix distributed_evaluate(
-    svmmpi::Comm& comm, const SvmModel& model, const svmdata::Dataset& dataset,
-    svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter,
-    svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64);
+/// Each rank scores through the model's default engine, bit-identical to
+/// model.predict.
+[[nodiscard]] ConfusionMatrix distributed_evaluate(svmmpi::Comm& comm, const SvmModel& model,
+                                                   const svmdata::Dataset& dataset);
 
 /// Convenience: global accuracy via distributed_evaluate.
-[[nodiscard]] double distributed_accuracy(
-    svmmpi::Comm& comm, const SvmModel& model, const svmdata::Dataset& dataset,
-    svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter,
-    svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64);
+[[nodiscard]] double distributed_accuracy(svmmpi::Comm& comm, const SvmModel& model,
+                                          const svmdata::Dataset& dataset);
 
 }  // namespace svmcore

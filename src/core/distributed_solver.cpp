@@ -27,8 +27,7 @@ DistributedSolver::DistributedSolver(svmmpi::Comm& comm, const svmdata::Dataset&
       config_(config),
       range_(svmdata::block_range(dataset.size(), comm.size(), comm.rank())),
       kernel_(config.params.kernel),
-      engine_(kernel_, dataset.X, config.params.engine_backend, range_.begin, range_.end,
-              /*cache_budget_bytes=*/0, config.params.engine_flavor),
+      engine_(kernel_, dataset.X, config.params.engine_backend, range_.begin, range_.end),
       iterations_(metrics_.counter("solver.iterations")),
       shrink_passes_(metrics_.counter("solver.shrink_passes")),
       samples_shrunk_(metrics_.counter("solver.samples_shrunk")),
@@ -36,13 +35,6 @@ DistributedSolver::DistributedSolver(svmmpi::Comm& comm, const svmdata::Dataset&
       recon_ring_steps_(metrics_.counter("recon.ring_steps")),
       recon_overlapped_steps_(metrics_.counter("recon.overlapped_steps")) {
   if (comm.rank() == 0) dataset.validate();
-  // Training stays bit-exact double: reduced-precision row flavors are a
-  // prediction/Q-cache feature and would silently perturb the optimization.
-  if (config.params.engine_flavor != svmkernel::RowFlavor::f64)
-    throw std::invalid_argument(
-        "DistributedSolver: training requires engine_flavor f64 (got '" +
-        svmkernel::to_string(config.params.engine_flavor) +
-        "'); reduced-precision flavors apply to prediction and cached Q rows only");
   if (config_.checkpoint_store != nullptr &&
       config_.checkpoint_store->num_ranks() != comm.size())
     throw std::invalid_argument(
@@ -59,6 +51,7 @@ DistributedSolver::DistributedSolver(svmmpi::Comm& comm, const svmdata::Dataset&
     active_[i] = static_cast<std::uint32_t>(i);
   }
   stats_.min_active = local_n;
+  stats_.engine_backend = engine_.backend();
   maybe_restore();
 }
 
@@ -415,7 +408,7 @@ void DistributedSolver::snapshot_stats() {
   metrics_.counter("engine.scatter_builds").set(engine_.stats().scatter_builds);
   metrics_.counter("engine.bytes_streamed").set(engine_.stats().bytes_streamed);
   metrics_.counter("engine.panel_dots").set(engine_.stats().panel_dots);
-  // Resident bytes of the flavored structures: the simd backend's RowStore
+  // Resident bytes of the flavored structures: the panel path's RowStore
   // and (for cached engines) the encoded Q-row cache. Zero when unused.
   metrics_.gauge("engine.store_bytes").set(static_cast<double>(engine_.store_bytes()));
   metrics_.gauge("cache.bytes_resident")

@@ -36,7 +36,7 @@ double SvmModel::decision_value(std::span<const svmdata::Feature> x,
                                 svmkernel::KernelEngine& engine) const {
   const double sq_x = svmdata::CsrMatrix::squared_norm(x);
   // accumulate_rows sums coef_j * K(sv_j, x) in ascending j on every
-  // backend, the loop of the engine-free overload above — bit-identical at
+  // path, the loop of the engine-free overload above — bit-identical at
   // f64.
   return engine.accumulate_rows(x, sq_x, coefficients_) - beta_;
 }

@@ -36,16 +36,16 @@ class SvmModel {
   /// of many queries (decision_value(x, engine)). The engine references the
   /// model — the model must outlive it. One engine per thread: the engine
   /// carries mutable scatter state. `flavor` selects the resident precision
-  /// of the support-vector rows under the simd backend (f32/f16/i8 trade
-  /// exactness for footprint/bandwidth; see row_store.hpp) — reduced
-  /// flavors require `backend == simd`.
+  /// of the support-vector rows (f32/f16/i8 trade exactness for
+  /// footprint/bandwidth on the panel path; see row_store.hpp). `backend`
+  /// forces a path for the parity tests and the precision bench.
   [[nodiscard]] svmkernel::KernelEngine make_engine(
-      svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter,
+      svmkernel::EngineBackend backend = svmkernel::EngineBackend::automatic,
       svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64) const;
 
   /// Engine-accelerated scoring; `engine` must come from make_engine() on
   /// this model. Bit-identical to the plain decision_value overload for f64
-  /// engines of any backend; flavored engines score against the compressed
+  /// engines on any path; flavored engines score against the compressed
   /// support vectors (the accuracy-gated serving path).
   [[nodiscard]] double decision_value(std::span<const svmdata::Feature> x,
                                       svmkernel::KernelEngine& engine) const;

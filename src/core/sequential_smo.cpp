@@ -14,11 +14,6 @@ SequentialResult solve_sequential(const svmdata::Dataset& dataset, const SolverP
   const std::size_t n = dataset.size();
   if (n < 2) throw std::invalid_argument("solve_sequential: need at least two samples");
 
-  // Training stays bit-exact double (see SolverParams::engine_flavor).
-  if (params.engine_flavor != svmkernel::RowFlavor::f64)
-    throw std::invalid_argument(
-        "solve_sequential: training requires engine_flavor f64 (got '" +
-        svmkernel::to_string(params.engine_flavor) + "')");
   const svmkernel::Kernel kernel(params.kernel);
   svmkernel::KernelEngine engine(kernel, dataset.X, params.engine_backend);
   const auto& X = dataset.X;
@@ -110,6 +105,7 @@ SequentialResult solve_sequential(const svmdata::Dataset& dataset, const SolverP
                     : 0.5 * (result.stats.final_beta_low + result.stats.final_beta_up);
 
   result.stats.kernel_evaluations = kernel.evaluations();
+  result.stats.engine_backend = engine.backend();
   result.stats.solve_seconds = total.seconds();
   return result;
 }

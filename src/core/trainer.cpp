@@ -102,15 +102,22 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
     out.modeled_seconds = std::max(out.modeled_seconds, modeled);
   }
 
-  // Provenance: which engine configuration produced this result. Mirrored
-  // into run reports and (when tracing) the trace timeline, so artifacts
-  // record the backend/flavor that made them. Labels are string literals —
-  // the trace recorder keeps pointers, not copies.
-  out.engine_backend = svmkernel::to_string(config.params.engine_backend);
-  out.engine_flavor = svmkernel::to_string(config.params.engine_flavor);
+  // Provenance: the kernel paths the rank engines resolved to, mirrored into
+  // run reports and (when tracing) the trace timeline. Ranks whose blocks
+  // straddle kPanelDensity can differ ("dense_scatter+simd"). Labels are
+  // string literals — the trace recorder keeps pointers, not copies.
+  out.engine_backend.clear();
+  for (const svmkernel::EngineBackend path :
+       {svmkernel::EngineBackend::reference, svmkernel::EngineBackend::dense_scatter,
+        svmkernel::EngineBackend::simd}) {
+    if (std::none_of(results.begin(), results.end(), [&](const RankResult& r) {
+          return !r.alpha.empty() && r.stats.engine_backend == path;
+        }))
+      continue;
+    out.engine_backend += (out.engine_backend.empty() ? "" : "+") + svmkernel::to_string(path);
+    svmobs::trace_instant(svmkernel::trace_label(path), "meta");
+  }
   out.solver_algo = to_string(config.params.algo);
-  svmobs::trace_instant(svmkernel::trace_label(config.params.engine_backend), "meta");
-  svmobs::trace_instant(svmkernel::trace_label(config.params.engine_flavor), "meta");
 
   out.model = build_model(dataset, alpha, out.beta, config.params.kernel);
   out.alpha = std::move(alpha);
@@ -350,8 +357,6 @@ svmobs::RunReport run_report(const TrainResult& result, const TrainOptions& opti
   report.info.emplace_back("converged", result.converged ? "true" : "false");
   if (!result.engine_backend.empty())
     report.info.emplace_back("engine_backend", result.engine_backend);
-  if (!result.engine_flavor.empty())
-    report.info.emplace_back("engine_flavor", result.engine_flavor);
   if (!result.solver_algo.empty()) report.info.emplace_back("solver", result.solver_algo);
   report.ranks = result.rank_metrics;
   report.aggregate = result.metrics;

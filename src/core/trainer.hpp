@@ -77,10 +77,9 @@ struct TrainResult {
   double wall_seconds = 0.0;            ///< around the whole SPMD region
   double modeled_seconds = 0.0;         ///< max per-rank compute+network model
   bool converged = false;
-  /// Engine configuration that produced this result, mirrored into the run
+  /// Kernel path(s) the rank engines resolved to, mirrored into the run
   /// report / trace metadata so artifacts record their provenance.
   std::string engine_backend;
-  std::string engine_flavor;
   /// Training algorithm that produced this result ("smo" or "pbm").
   std::string solver_algo;
 

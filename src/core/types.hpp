@@ -57,17 +57,11 @@ struct SolverParams {
   double eps = 1e-3;  ///< user tolerance; terminate when beta_up + 2*eps >= beta_low
   std::uint64_t max_iterations = 100'000'000;  ///< safety valve, not a tuning knob
 
-  /// Kernel-evaluation strategy for the solver hot paths. `dense_scatter`
-  /// (default) is bit-identical to `reference` — see kernel_engine.hpp — and
-  /// so is `simd` at flavor f64, so this is a performance knob, never a
-  /// results knob.
-  svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::dense_scatter;
-
-  /// Resident row precision of the engine (row_store.hpp). TRAINING REQUIRES
-  /// f64: the solvers throw on any reduced-precision flavor so optimization
-  /// stays bit-exact double. f32/f16/i8 are for the prediction path and the
-  /// baselines' cached Q rows, where they are accuracy-gated.
-  svmkernel::RowFlavor engine_flavor = svmkernel::RowFlavor::f64;
+  /// Kernel-evaluation path of the solver engines. `automatic` lets each
+  /// engine pick from its own rows (kernel_engine.hpp); the forced paths
+  /// exist for the parity tests and the engine benches. Every path is
+  /// bit-identical to `reference`, so this never changes a result.
+  svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::automatic;
 
   /// Per-class cost weights (libsvm's -wi): the box constraint of a sample
   /// with label y is C * (y > 0 ? weight_positive : weight_negative). Used
@@ -136,6 +130,8 @@ struct SolverStats {
   double final_beta_low = std::numeric_limits<double>::quiet_NaN();
   std::size_t min_active = 0;            ///< smallest active-set size seen (this rank)
   bool converged = false;                ///< false only if max_iterations hit
+  /// Kernel path this rank's engine resolved to (KernelEngine::backend()).
+  svmkernel::EngineBackend engine_backend = svmkernel::EngineBackend::automatic;
   /// (iteration, global active samples) samples; filled on rank 0 when
   /// DistributedConfig::trace_active_interval > 0.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> active_trace;

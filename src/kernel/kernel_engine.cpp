@@ -1,6 +1,7 @@
 #include "kernel/kernel_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -19,7 +20,7 @@ std::string to_string(EngineBackend backend) {
   switch (backend) {
     case EngineBackend::reference: return "reference";
     case EngineBackend::dense_scatter: return "dense_scatter";
-    case EngineBackend::cached: return "cached";
+    case EngineBackend::automatic: return "automatic";
     case EngineBackend::simd: return "simd";
   }
   return "?";
@@ -28,7 +29,7 @@ std::string to_string(EngineBackend backend) {
 EngineBackend engine_backend_from_string(const std::string& name) {
   if (name == "reference") return EngineBackend::reference;
   if (name == "dense_scatter") return EngineBackend::dense_scatter;
-  if (name == "cached") return EngineBackend::cached;
+  if (name == "automatic") return EngineBackend::automatic;
   if (name == "simd") return EngineBackend::simd;
   throw std::invalid_argument("engine_backend_from_string: unknown backend '" + name + "'");
 }
@@ -37,59 +38,52 @@ const char* trace_label(EngineBackend backend) noexcept {
   switch (backend) {
     case EngineBackend::reference: return "backend_reference";
     case EngineBackend::dense_scatter: return "backend_dense_scatter";
-    case EngineBackend::cached: return "backend_cached";
+    case EngineBackend::automatic: return "backend_automatic";
     case EngineBackend::simd: return "backend_simd";
   }
   return "backend_unknown";
 }
 
-void KernelEngine::init_flavored(std::size_t cache_budget_bytes) {
-  if (flavor_ != RowFlavor::f64 &&
-      (backend_ == EngineBackend::reference || backend_ == EngineBackend::dense_scatter))
-    throw std::invalid_argument("KernelEngine: flavored rows ('" + to_string(flavor_) +
-                                "') require the simd or cached backend");
-  if (backend_ == EngineBackend::cached) {
-    if (cache_budget_bytes > 0)
-      cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes, flavor_);
-    else if (flavor_ != RowFlavor::f64)
-      throw std::invalid_argument(
-          "KernelEngine: flavored cached backend needs a cache budget (rows are "
-          "encoded on insert; without a cache there is nothing to flavor)");
+void KernelEngine::init_path(EngineBackend requested, std::size_t norm_end,
+                             std::size_t cache_budget_bytes) {
+  backend_ = requested;
+  if (requested == EngineBackend::automatic) {
+    // A panel row costs the full column count, a scatter row its nonzeros:
+    // the engine's own rows decide.
+    std::size_t nonzeros = 0;
+    for (std::size_t i = norm_begin_; i < norm_end; ++i) nonzeros += X_.row(i).size();
+    const double cells =
+        static_cast<double>(norm_end - norm_begin_) * static_cast<double>(X_.cols());
+    const bool dense = cells > 0.0 && static_cast<double>(nonzeros) >= kPanelDensity * cells;
+    backend_ = dense || flavor_ != RowFlavor::f64 ? EngineBackend::simd
+                                                  : EngineBackend::dense_scatter;
   }
-  if (backend_ == EngineBackend::simd) {
-    // Borrowed norm spans may be longer than the matrix; the store covers
-    // exactly the rows that exist.
-    const std::size_t row_end = std::min(norm_begin_ + norms_.size(), X_.rows());
-    store_ = std::make_unique<RowStore>(X_, norm_begin_, row_end, flavor_);
-  }
+  if (flavor_ != RowFlavor::f64 && backend_ == EngineBackend::reference)
+    throw std::invalid_argument("KernelEngine: the reference path is exact; flavored rows ('" +
+                                to_string(flavor_) + "') need panels or a Q-row cache");
+  if (flavor_ != RowFlavor::f64 && backend_ == EngineBackend::dense_scatter &&
+      cache_budget_bytes == 0)
+    throw std::invalid_argument(
+        "KernelEngine: flavored dense_scatter rows need a cache budget (only cached Q rows "
+        "are encoded; without a cache there is nothing to flavor)");
+  if (cache_budget_bytes > 0)
+    cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes, flavor_);
+  if (backend_ == EngineBackend::simd)
+    store_ = std::make_unique<RowStore>(X_, norm_begin_, norm_end, flavor_);
 }
 
 KernelEngine::KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X,
                            EngineBackend backend, std::size_t norm_begin,
                            std::size_t norm_end, std::size_t cache_budget_bytes,
                            RowFlavor flavor)
-    : kernel_(kernel), X_(X), backend_(backend), flavor_(flavor), norm_begin_(norm_begin) {
+    : kernel_(kernel), X_(X), flavor_(flavor), norm_begin_(norm_begin) {
   if (norm_end < norm_begin || norm_end > X.rows())
     throw std::invalid_argument("KernelEngine: bad norm range");
   owned_norms_.resize(norm_end - norm_begin);
   for (std::size_t i = norm_begin; i < norm_end; ++i)
     owned_norms_[i - norm_begin] = svmdata::CsrMatrix::squared_norm(X.row(i));
   norms_ = owned_norms_;
-  init_flavored(cache_budget_bytes);
-}
-
-KernelEngine::KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X,
-                           EngineBackend backend, std::span<const double> sq_norms,
-                           RowFlavor flavor)
-    : kernel_(kernel),
-      X_(X),
-      backend_(backend),
-      flavor_(flavor),
-      norm_begin_(0),
-      norms_(sq_norms) {
-  if (sq_norms.size() < X.rows())
-    throw std::invalid_argument("KernelEngine: borrowed norms shorter than matrix");
-  init_flavored(0);
+  init_path(backend, norm_end, cache_budget_bytes);
 }
 
 KernelEngine::KernelEngine(const KernelParams& params, const svmdata::CsrMatrix& X,
@@ -98,13 +92,12 @@ KernelEngine::KernelEngine(const KernelParams& params, const svmdata::CsrMatrix&
     : owned_kernel_(std::make_unique<Kernel>(params)),
       kernel_(*owned_kernel_),
       X_(X),
-      backend_(backend),
       flavor_(flavor),
       norm_begin_(0),
       norms_(sq_norms) {
   if (sq_norms.size() < X.rows())
     throw std::invalid_argument("KernelEngine: borrowed norms shorter than matrix");
-  init_flavored(0);
+  init_path(backend, X.rows(), 0);
 }
 
 void KernelEngine::ensure_dense(std::size_t lanes) {
@@ -170,14 +163,9 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
   }
 
   if (backend_ == EngineBackend::simd) {
-    // Panel sweep with last-panel memoization: the solver hands this path a
-    // sorted active-index list, so each touched panel is computed once.
-    // Intra-call threading is skipped — the memo is worth more than a
-    // parallel-for on arbitrary index lists.
-    (void)parallel;
     fill_query_vec(qa_vec_, up);
     fill_query_vec(qb_vec_, low);
-    simd_pair_indexed(rows, base, sq_up, sq_low, out_up, out_low);
+    simd_pair_indexed(rows, base, sq_up, sq_low, out_up, out_low, parallel);
     kernel_.note_evaluations(2 * rows.size());
     clear_query_vec(qa_vec_, up);
     clear_query_vec(qb_vec_, low);
@@ -346,35 +334,38 @@ void KernelEngine::eval_block_rows(
   if (backend_ == EngineBackend::simd) {
     // Panel orientation: the stale side already lives in the RowStore, so
     // each circulating block row becomes the prepared query and the store is
-    // swept a panel at a time (dots cached while consecutive stale indices
-    // stay in one panel). The serial ascending-j accumulation through the
-    // partials buffer matches the scalar orientations' order, so f64 stays
-    // bit-identical; `parallel` is ignored — the ordered reduction and the
-    // lane amortization both want the serial sweep.
-    (void)parallel;
+    // swept one panel per run of stale rows. The j loop stays serial, so
+    // every partial accumulates in ascending j — the scalar orientations'
+    // order, so f64 stays bit-identical — and `parallel` splits the runs.
     constexpr std::size_t kP = RowStore::kPanel;
+    const std::size_t runs = build_panel_runs(rows, base);
     block_partials_.assign(stale, 0.0);
-    double d[kP];
     for (std::size_t j = 0; j < block; ++j) {
       fill_query_vec(qa_vec_, block_rows[j]);
       store_->prepare_query(qa_vec_);
       const double coeff = block_coeffs[j];
       const double sq_block = block_sq_norms[j];
-      std::size_t cur = std::numeric_limits<std::size_t>::max();
-      for (std::size_t w = 0; w < stale; ++w) {
-        const std::size_t local = base + rows[w] - norm_begin_;
-        const std::size_t p = local / kP;
-        if (p != cur) {
-          store_->panel_dots(p, d);
-          stats_.panel_dots += 1;
-          cur = p;
+      const auto add_run = [&](std::size_t r) {
+        const std::size_t first = panel_runs_[r];
+        double d[kP];
+        store_->panel_dots((base + rows[first] - norm_begin_) / kP, d);
+        for (std::size_t w = first; w < panel_runs_[r + 1]; ++w) {
+          const std::size_t local = base + rows[w] - norm_begin_;
+          block_partials_[w] +=
+              coeff * kernel_.finish_from_dot(d[local % kP], sq_block, store_sq(local));
         }
-        block_partials_[w] +=
-            coeff * kernel_.finish_from_dot(d[local % kP], sq_block, store_sq(local));
+      };
+      if (parallel) {
+#pragma omp parallel for schedule(static)
+        for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(runs); ++r)
+          add_run(static_cast<std::size_t>(r));
+      } else {
+        for (std::size_t r = 0; r < runs; ++r) add_run(r);
       }
       clear_query_vec(qa_vec_, block_rows[j]);
     }
     for (std::size_t w = 0; w < stale; ++w) accum[w] += block_partials_[w];
+    stats_.panel_dots += block * runs;
     stats_.bytes_streamed += stale * block * store_->row_bytes();
     kernel_.note_evaluations(stale * block);
     return;
@@ -474,7 +465,7 @@ void KernelEngine::eval_block_rows(std::span<const std::span<const svmdata::Feat
   svmobs::TraceSpan span("engine_predict_batch", "kernel");
   // Each query is exactly one accumulate_rows scope (bit-identical by
   // construction); batching here buys the serving batcher one engine call
-  // per micro-batch and, under simd, one store sweep per query instead of a
+  // per micro-batch and, on the panel path, one store sweep per query instead of a
   // per-support-vector scatter loop.
   for (std::size_t q = 0; q < queries.size(); ++q)
     out[q] = accumulate_rows(queries[q], query_sq_norms[q], coeffs, parallel);
@@ -538,7 +529,7 @@ std::span<const float> KernelEngine::k_row_floats(std::size_t i, std::size_t len
   return std::span<const float>(row_scratch_).first(len);
 }
 
-// --- simd backend helpers ---------------------------------------------------
+// --- panel path helpers -----------------------------------------------------
 
 void KernelEngine::fill_query_vec(std::vector<double>& buf,
                                   std::span<const svmdata::Feature> row) {
@@ -563,27 +554,46 @@ void KernelEngine::clear_query_vec(std::vector<double>& buf,
   }
 }
 
-void KernelEngine::simd_pair_indexed(std::span<const std::uint32_t> rows, std::size_t base,
-                                     double sq_up, double sq_low, std::span<double> out_up,
-                                     std::span<double> out_low) {
-  store_->prepare_query(qa_vec_, qb_vec_);
+std::size_t KernelEngine::build_panel_runs(std::span<const std::uint32_t> rows,
+                                           std::size_t base) {
   constexpr std::size_t kP = RowStore::kPanel;
-  std::size_t cur = static_cast<std::size_t>(-1);
-  double oa[kP];
-  double ob[kP];
+  panel_runs_.clear();
+  std::size_t cur = std::numeric_limits<std::size_t>::max();
   for (std::size_t k = 0; k < rows.size(); ++k) {
-    const std::size_t local = base + rows[k] - norm_begin_;
-    const std::size_t p = local / kP;
+    const std::size_t p = (base + rows[k] - norm_begin_) / kP;
     if (p != cur) {
-      store_->panel_dots(p, oa, ob);
-      stats_.panel_dots += 1;
+      panel_runs_.push_back(k);
       cur = p;
     }
-    const std::size_t lane = local % kP;
-    const double sq = store_sq(local);
-    out_up[k] = kernel_.finish_from_dot(oa[lane], sq_up, sq);
-    out_low[k] = kernel_.finish_from_dot(ob[lane], sq_low, sq);
   }
+  const std::size_t runs = panel_runs_.size();
+  panel_runs_.push_back(rows.size());
+  return runs;
+}
+
+void KernelEngine::simd_pair_indexed(std::span<const std::uint32_t> rows, std::size_t base,
+                                     double sq_up, double sq_low, std::span<double> out_up,
+                                     std::span<double> out_low, bool parallel) {
+  store_->prepare_query(qa_vec_, qb_vec_);
+  constexpr std::size_t kP = RowStore::kPanel;
+  const auto runs = static_cast<std::ptrdiff_t>(build_panel_runs(rows, base));
+  // Runs are independent given the prepared (read-only) query state, so they
+  // parallelize like simd_pair_range's panel loop; per-thread stack outputs.
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::ptrdiff_t r = 0; r < runs; ++r) {
+    const std::size_t first = panel_runs_[static_cast<std::size_t>(r)];
+    const std::size_t last = panel_runs_[static_cast<std::size_t>(r) + 1];
+    double oa[kP];
+    double ob[kP];
+    store_->panel_dots((base + rows[first] - norm_begin_) / kP, oa, ob);
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t local = base + rows[k] - norm_begin_;
+      const double sq = store_sq(local);
+      out_up[k] = kernel_.finish_from_dot(oa[local % kP], sq_up, sq);
+      out_low[k] = kernel_.finish_from_dot(ob[local % kP], sq_low, sq);
+    }
+  }
+  stats_.panel_dots += static_cast<std::uint64_t>(runs);
 }
 
 void KernelEngine::simd_pair_range(std::size_t begin, std::size_t end, double sq_up,

@@ -16,21 +16,27 @@
 //   k_row_floats                       full float kernel row with optional
 //       per-row scaling and LRU caching (the libsvm baseline's Q rows).
 //
-// Backends (EngineBackend) select the evaluation strategy:
+// Paths (EngineBackend). `automatic`, the default everywhere, resolves at
+// construction from what the engine can observe: the RowStore panels when
+// the row flavor is reduced or the engine's rows are at least kPanelDensity
+// dense, the fused dense scatter otherwise. backend() reports the resolved
+// path. The named paths force one:
 //   reference      every value via Kernel::eval, i.e. the CsrMatrix::dot
 //                  sparse merge join — the semantics ground truth;
 //   dense_scatter  the fused fast path described above;
-//   cached         dense_scatter plus the KernelRowCache for k_row_floats;
 //   simd           the engine's norm-range rows materialized in a dense
 //                  panel RowStore (lane-per-row, see row_store.hpp) and
 //                  evaluated with the runtime-dispatched SIMD kernels.
+// A cache budget > 0 turns on the Q-row cache behind k_row_floats on any
+// path.
 //
 // Row flavors (RowFlavor, row_store.hpp) select the resident precision of
-// the simd store and of cached Q rows: f64 is exact; f32/f16/i8 trade
-// precision for footprint and bandwidth. The scalar backends (reference,
-// dense_scatter) only accept f64; training solvers additionally refuse any
-// flavored engine so optimization stays bit-exact double — flavors are a
-// prediction/Q-cache feature, accuracy-gated by tests and bench_precision.
+// the panels and of cached Q rows: f64 is exact; f32/f16/i8 trade precision
+// for footprint and bandwidth. reference only accepts f64, and
+// dense_scatter accepts a reduced flavor only for its Q-row cache (the
+// libsvm-style baselines' compressed Q rows). Training always runs f64, so
+// optimization stays bit-exact double — flavors are a prediction/Q-cache
+// feature, accuracy-gated by tests and bench_precision.
 //
 // Parity guarantee: dense_scatter is BIT-IDENTICAL to reference, not merely
 // close. Both visit row i's nonzeros in increasing index order: the merge
@@ -43,15 +49,15 @@
 // same instruction sequence. Tests enforce bitwise equality of whole models;
 // checkpoint/chaos recovery relies on it staying exact.
 //
-// The simd backend at flavor f64 inherits the same guarantee: each panel
+// The panel path at flavor f64 inherits the same guarantee: each panel
 // lane is one row's sequential mul+add sum over ascending columns (never a
 // horizontal reduction, never an FMA — see simd.hpp), which is the dense
 // pass above with the sides swapped, and the dot funnels through the same
 // finish_from_dot. k_row_floats fills, whose rows are not in the store,
-// fall back to the scalar dense-scatter code under the simd backend —
+// fall back to the scalar dense-scatter code on the panel path —
 // bit-identical for f64 by the argument above. The batched multi-query
 // paths (eval_block_rows in both forms, accumulate_rows) DO run on the
-// RowStore panels under simd: each external row becomes the prepared query
+// RowStore panels: each external row becomes the prepared query
 // and the resident side is swept a panel at a time, with ordered reductions
 // preserving f64 bit-identity.
 //
@@ -75,7 +81,15 @@
 
 namespace svmkernel {
 
-enum class EngineBackend { reference, dense_scatter, cached, simd };
+enum class EngineBackend { reference, dense_scatter, automatic, simd };
+
+/// Row density (nonzeros / (rows * cols)) of an engine's rows at and above
+/// which `automatic` takes the RowStore panels. A panel row costs its full
+/// column count, a scatter row its nonzeros. bench_engine_backends measures
+/// the crossover across the zoo shapes (BENCH_engine.json): the scatter path
+/// wins at a9a's 0.11 and below, the panels win at mushrooms' 0.19 and
+/// above (mnist's 0.26 is a tie).
+inline constexpr double kPanelDensity = 0.15;
 
 [[nodiscard]] std::string to_string(EngineBackend backend);
 [[nodiscard]] EngineBackend engine_backend_from_string(const std::string& name);
@@ -90,7 +104,7 @@ struct EngineStats {
   std::uint64_t scatter_builds = 0;  ///< query-row scatters into the dense buffer
   std::uint64_t bytes_streamed = 0;  ///< payload bytes traversed by batched ops
                                      ///< (CSR features, or flavored panel bytes
-                                     ///< for the simd backend)
+                                     ///< on the panel path)
   std::uint64_t panel_dots = 0;      ///< 8-row SIMD panel products computed
 };
 
@@ -98,11 +112,11 @@ class KernelEngine {
  public:
   /// Engine over rows [norm_begin, norm_end) of `X` (a distributed rank's
   /// local block); squared norms for that slice are computed on
-  /// construction. `cache_budget_bytes` > 0 enables the row cache used by
-  /// k_row_floats (the `cached` backend; ignored otherwise). `flavor`
-  /// selects the resident row precision of the simd store / cached Q rows;
-  /// the scalar backends require f64. The engine keeps references to
-  /// `kernel` and `X` — both must outlive it.
+  /// construction, and `automatic` resolves from that slice's density.
+  /// `cache_budget_bytes` > 0 enables the Q-row cache used by k_row_floats.
+  /// `flavor` selects the resident row precision of the panels / cached Q
+  /// rows. The engine keeps references to `kernel` and `X` — both must
+  /// outlive it.
   KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
                std::size_t norm_begin, std::size_t norm_end,
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64);
@@ -112,23 +126,20 @@ class KernelEngine {
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64)
       : KernelEngine(kernel, X, backend, 0, X.rows(), cache_budget_bytes, flavor) {}
 
-  /// Borrowed-norms form: reuse already-computed squared norms for all of
-  /// `X` instead of recomputing (the free eval_rows entry point).
-  KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
-               std::span<const double> sq_norms, RowFlavor flavor = RowFlavor::f64);
-
   /// Owning-kernel form for callers without a long-lived Kernel (model
-  /// scoring): the engine constructs and owns the evaluator itself.
+  /// scoring): the engine constructs and owns the evaluator itself and
+  /// borrows already-computed squared norms for all of `X`.
   KernelEngine(const KernelParams& params, const svmdata::CsrMatrix& X,
                EngineBackend backend, std::span<const double> sq_norms,
                RowFlavor flavor = RowFlavor::f64);
 
+  /// The resolved path: never `automatic`.
   [[nodiscard]] EngineBackend backend() const noexcept { return backend_; }
   [[nodiscard]] RowFlavor flavor() const noexcept { return flavor_; }
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
 
-  /// Resident bytes of the simd backend's flavored RowStore (0 otherwise).
+  /// Resident bytes of the panel path's flavored RowStore (0 otherwise).
   [[nodiscard]] std::size_t store_bytes() const noexcept {
     return store_ ? store_->bytes_resident() : 0;
   }
@@ -175,10 +186,10 @@ class KernelEngine {
   /// Weighted kernel sum over every row in the engine's norm range:
   ///   sum_j coeffs[j] * K(query, X.row(norm_begin + j)),  j ascending.
   /// This is model scoring (coeffs = alpha_i * y_i over support vectors) as
-  /// one batched call. The scalar backends evaluate the query's kernel row
-  /// (eval_rows) and reduce it in ascending row order; the simd backend
+  /// one batched call. The scalar paths evaluate the query's kernel row
+  /// (eval_rows) and reduce it in ascending row order; the panel path
   /// sweeps the RowStore panels and reduces in the same order, so the result
-  /// is bit-identical across backends at flavor f64.
+  /// is bit-identical across paths at flavor f64.
   [[nodiscard]] double accumulate_rows(std::span<const svmdata::Feature> query,
                                        double sq_query, std::span<const double> coeffs,
                                        bool parallel = false);
@@ -191,14 +202,14 @@ class KernelEngine {
   /// where block_rows are the circulating remote samples (their squared
   /// norms passed in block_sq_norms) and the j-sum is evaluated in
   /// increasing j order into a fresh +0.0 partial before the single +=. The
-  /// reference backend is exactly that per-stale-sample merge-join loop, and
-  /// every other backend is BIT-IDENTICAL to it (the dot is
+  /// reference path is exactly that per-stale-sample merge-join loop, and
+  /// every other path is BIT-IDENTICAL to it (the dot is
   /// orientation-symmetric: the merge join and both scatter directions
   /// accumulate the index-intersection products in the same increasing-index
   /// order, and IEEE add/mul are commutative). Block rows may be wider than
   /// X; their features beyond X.cols() cannot intersect a stale row.
   ///
-  /// The dense backends scatter whichever side is SMALLER — the adaptive
+  /// The dense-scatter path scatters whichever side is SMALLER — the adaptive
   /// kernel orientation: min(rows.size(), block_rows.size()) scatter builds
   /// instead of one per stale sample — and `parallel` OpenMP-parallelizes
   /// the streamed side (safe: the dense buffer is read-only while worker
@@ -213,8 +224,8 @@ class KernelEngine {
   /// norm range in one call,
   ///   out[q] = sum_j coeffs[j] * K(queries[q], X.row(norm_begin + j))
   /// with the j-sum in ascending order — each out[q] is bitwise equal to
-  /// accumulate_rows(queries[q], ...) on the same engine, across backends at
-  /// flavor f64. Under the simd backend the resident rows are swept through
+  /// accumulate_rows(queries[q], ...) on the same engine, across paths at
+  /// flavor f64. On the panel path the resident rows are swept through
   /// the RowStore panels per query (flavored batch predict: an f32/f16/i8
   /// store serves degraded-precision batches from the same call shape).
   /// `query_sq_norms[q]` is ||queries[q]||^2.
@@ -233,7 +244,7 @@ class KernelEngine {
   void set_row_scale(std::span<const double> scale);
 
   /// Row i of the (scaled) kernel matrix as floats, columns [0, len).
-  /// Served from the LRU cache when the `cached` backend has a budget; the
+  /// Served from the LRU cache when the engine has a cache budget; the
   /// returned span stays valid until the next k_row_floats call (the cache
   /// pins it — see KernelRowCache::lookup). Counts `len` kernel
   /// evaluations on a miss and none on a hit, matching the per-element
@@ -252,7 +263,8 @@ class KernelEngine {
   void fill_k_row(std::size_t i, std::size_t len, bool parallel, float* out);
   [[nodiscard]] std::uint64_t payload_bytes(std::span<const std::uint32_t> rows,
                                             std::size_t base) const noexcept;
-  void init_flavored(std::size_t cache_budget_bytes);
+  void init_path(EngineBackend requested, std::size_t norm_end,
+                 std::size_t cache_budget_bytes);
   /// Decoded squared norm of store-local row (engine norms when f64 — the
   /// two agree there, and the scalar parity paths compare against norms_).
   [[nodiscard]] double store_sq(std::size_t local) const {
@@ -262,9 +274,14 @@ class KernelEngine {
   /// must clear_query_vec afterwards. Returns the span panel eval reads.
   void fill_query_vec(std::vector<double>& buf, std::span<const svmdata::Feature> row);
   void clear_query_vec(std::vector<double>& buf, std::span<const svmdata::Feature> row);
+  /// Splits an index list into runs of consecutive entries in one panel
+  /// (panel_runs_ holds each run's first entry, then rows.size()); returns
+  /// the run count. The panel path's indexed sweeps compute one panel per
+  /// run, and parallelize over runs.
+  std::size_t build_panel_runs(std::span<const std::uint32_t> rows, std::size_t base);
   void simd_pair_indexed(std::span<const std::uint32_t> rows, std::size_t base,
                          double sq_up, double sq_low, std::span<double> out_up,
-                         std::span<double> out_low);
+                         std::span<double> out_low, bool parallel);
   void simd_pair_range(std::size_t begin, std::size_t end, double sq_up, double sq_low,
                        std::span<double> out_up, std::span<double> out_low, bool parallel);
   void simd_single_range(std::size_t begin, std::size_t end, double sq_query,
@@ -273,15 +290,16 @@ class KernelEngine {
   std::unique_ptr<Kernel> owned_kernel_;  ///< set only by the owning ctor
   const Kernel& kernel_;
   const svmdata::CsrMatrix& X_;
-  EngineBackend backend_;
+  EngineBackend backend_ = EngineBackend::automatic;  ///< resolved by init_path
   RowFlavor flavor_ = RowFlavor::f64;
   std::size_t norm_begin_ = 0;
   std::vector<double> owned_norms_;
   std::span<const double> norms_;
 
-  std::unique_ptr<RowStore> store_;  ///< simd backend's flavored panels
+  std::unique_ptr<RowStore> store_;  ///< the panel path's flavored rows
   std::vector<double> qa_vec_;       ///< dense query buffers for the store
   std::vector<double> qb_vec_;
+  std::vector<std::size_t> panel_runs_;  ///< simd_pair_indexed's work units
 
   std::vector<double> dense_;        ///< scatter buffer, lanes * cols entries
   std::size_t dense_lanes_ = 0;      ///< 1 = single query, 2 = interleaved pair

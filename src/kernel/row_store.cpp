@@ -39,16 +39,6 @@ std::size_t flavor_element_bytes(RowFlavor flavor) noexcept {
   return 8;
 }
 
-const char* trace_label(RowFlavor flavor) noexcept {
-  switch (flavor) {
-    case RowFlavor::f64: return "flavor_f64";
-    case RowFlavor::f32: return "flavor_f32";
-    case RowFlavor::f16: return "flavor_f16";
-    case RowFlavor::i8: return "flavor_i8";
-  }
-  return "flavor_unknown";
-}
-
 RowStore::RowStore(const svmdata::CsrMatrix& X, std::size_t row_begin, std::size_t row_end,
                    RowFlavor flavor)
     : flavor_(flavor), ops_(&simd::ops()) {
@@ -63,7 +53,7 @@ RowStore::RowStore(const svmdata::CsrMatrix& X, std::size_t row_begin, std::size
     throw std::invalid_argument(
         "RowStore: dense flavored storage for " + std::to_string(rows_) + "x" +
         std::to_string(cols_) + " rows would need " + std::to_string(payload) +
-        " bytes; use the dense_scatter or cached backend for very wide sparse data");
+        " bytes; use the dense_scatter path for very wide sparse data");
   switch (flavor_) {
     case RowFlavor::f64: data_f64_.assign(elems, 0.0); break;
     case RowFlavor::f32: data_f32_.assign(elems, 0.0f); break;

@@ -22,8 +22,8 @@
 // consistent with the quantized dots.
 //
 // Reduced-precision flavors are approximate by design and are accuracy-gated
-// at the prediction layer (tests + bench_precision); training solvers refuse
-// them. The f64 flavor is exact for every backend path.
+// at the prediction layer (tests + bench_precision); training never uses
+// them. The f64 flavor is exact on every engine path.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +45,6 @@ enum class RowFlavor : std::uint8_t { f64, f32, f16, i8 };
 [[nodiscard]] RowFlavor row_flavor_from_string(const std::string& name);
 /// Bytes per stored element (8/4/2/1).
 [[nodiscard]] std::size_t flavor_element_bytes(RowFlavor flavor) noexcept;
-/// Stable string literal for trace metadata (trace_instant keeps pointers).
-[[nodiscard]] const char* trace_label(RowFlavor flavor) noexcept;
 
 class RowStore {
  public:
@@ -54,7 +52,7 @@ class RowStore {
 
   /// Materializes rows [row_begin, row_end) of X. Throws std::invalid_argument
   /// if the dense footprint would exceed ~3 GiB (pathologically wide sparse
-  /// data — use the dense_scatter or cached backend there).
+  /// data — use the dense_scatter path there).
   RowStore(const svmdata::CsrMatrix& X, std::size_t row_begin, std::size_t row_end,
            RowFlavor flavor);
 

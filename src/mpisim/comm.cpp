@@ -15,6 +15,10 @@ namespace {
 // during split); user tags must stay below this.
 constexpr int kSplitContextTag = 1 << 28;
 
+// An injected delay sleeps in slices this long, polling its context between
+// them, so a watchdog cancellation ends the stall within one slice.
+constexpr auto kDelayPollSlice = std::chrono::milliseconds(1);
+
 // Counter-track samples are rate-limited: one every kNetCounterStride
 // collectives (plus every overlap credit) keeps traced runs readable while
 // still plotting modeled vs overlapped network seconds over time.
@@ -31,8 +35,19 @@ bool Comm::faulted_op(FaultSite site) {
   FaultInjector* injector = world_->injector();
   if (injector == nullptr) return false;
   const FaultAction action = injector->on_op((*group_)[rank_], site);  // may throw RankFailed
-  if (action.delay_s > 0.0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(action.delay_s));
+  if (action.delay_s > 0.0) {
+    // A stalled rank is still cancellable: the delay ends early, with
+    // ContextCancelled, once the watchdog cancels this comm's context.
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double>(action.delay_s));
+    for (auto now = std::chrono::steady_clock::now(); now < until;
+         now = std::chrono::steady_clock::now()) {
+      check_cancelled();
+      std::this_thread::sleep_until(std::min(until, now + kDelayPollSlice));
+    }
+    check_cancelled();
+  }
   return action.drop;
 }
 

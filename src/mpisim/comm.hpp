@@ -383,8 +383,9 @@ class Comm {
                                                   const char* label);
 
   /// Consults the world's FaultInjector (if any) before a communication op;
-  /// may sleep (delay) or throw RankFailed (crash). Returns true when the op
-  /// must be suppressed (dropped send).
+  /// may sleep (delay; throws ContextCancelled if the context is cancelled
+  /// meanwhile) or throw RankFailed (crash). Returns true when the op must
+  /// be suppressed (dropped send).
   [[nodiscard]] bool faulted_op(FaultSite site);
 
   /// Throws ContextCancelled when this comm's context has been cancelled;

@@ -219,14 +219,14 @@ void worker_body(Comm& comm, const svmcore::SvmModel& model, const ServeOptions&
                           static_cast<std::size_t>(opt.shards);
 
   const svmkernel::Kernel kernel(model.kernel_params());
-  svmkernel::KernelEngine engine(kernel, model.support_vectors(), opt.backend, begin, end, 0,
-                                 opt.flavor);
-  // Overload shedding to reduced precision gets its own flavored store; the
-  // exact engine stays resident so un-degraded batches keep bit-exactness.
+  svmkernel::KernelEngine engine(kernel, model.support_vectors(),
+                                 svmkernel::EngineBackend::automatic, begin, end);
+  // Overload shedding to f32 gets its own flavored store; the exact engine
+  // stays resident so un-degraded batches keep bit-exactness.
   std::optional<svmkernel::KernelEngine> degraded;
   if (opt.degrade_enabled)
-    degraded.emplace(kernel, model.support_vectors(), svmkernel::EngineBackend::simd, begin, end,
-                     std::size_t{0}, opt.degrade_flavor);
+    degraded.emplace(kernel, model.support_vectors(), svmkernel::EngineBackend::automatic, begin,
+                     end, std::size_t{0}, svmkernel::RowFlavor::f32);
   const auto coeffs = std::span<const double>(model.coefficients()).subspan(begin, end - begin);
 
   comm.send_value<std::uint64_t>(static_cast<std::uint64_t>(end - begin), 0, kReadyTag);

@@ -30,7 +30,7 @@
 //     offered load;
 //   - optional precision shedding: when the queue crosses
 //     degrade_queue_frac of capacity, batches are marked degraded and
-//     workers score them against a reduced-precision (simd/f32 by default)
+//     workers score them against a reduced-precision (f32 panel)
 //     RowStore instead of the exact engine;
 //   - per-dispatch timeout with capped-backoff retry, rotating across the
 //     shard's replicas; a retry after a suspected-slow first attempt is
@@ -83,12 +83,8 @@ struct ServeOptions {
   double quarantine_min_baseline_s = 5e-4;  ///< floor so tiny baselines don't trip
   double quarantine_cooldown_s = 0.05;      ///< ejection duration, then probe
 
-  bool degrade_enabled = false;      ///< precision shedding under queue pressure
+  bool degrade_enabled = false;      ///< f32 shedding under queue pressure
   double degrade_queue_frac = 0.5;   ///< degrade when depth > frac*capacity
-  svmkernel::RowFlavor degrade_flavor = svmkernel::RowFlavor::f32;
-
-  svmkernel::EngineBackend backend = svmkernel::EngineBackend::dense_scatter;
-  svmkernel::RowFlavor flavor = svmkernel::RowFlavor::f64;
 
   /// timeout_s doubles as the workers' idle-receive backstop; must be > 0
   /// (deadline-driven failure detection, as everywhere in svmmpi).

@@ -38,10 +38,6 @@ PbmSolver::PbmSolver(svmmpi::Comm& comm, const svmdata::Dataset& dataset,
       last_block_(0),
       kernel_(config.params.kernel),
       engine_([&]() -> svmkernel::KernelEngine {
-        if (config.params.engine_flavor != svmkernel::RowFlavor::f64)
-          throw std::invalid_argument(
-              "PbmSolver: training requires engine_flavor f64 (got '" +
-              std::string(svmkernel::to_string(config.params.engine_flavor)) + "')");
         if (config.params.pbm_blocks < comm.size())
           throw std::invalid_argument(
               "PbmSolver: pbm_blocks must be >= the rank count (the trainer resolves 0 to "
@@ -67,8 +63,7 @@ PbmSolver::PbmSolver(svmmpi::Comm& comm, const svmdata::Dataset& dataset,
         const svmdata::BlockRange span{svmdata::block_range(n, B, first).begin,
                                        svmdata::block_range(n, B, last - 1).end};
         return svmkernel::KernelEngine(kernel_, dataset.X, config.params.engine_backend,
-                                       span.begin, span.end, /*cache_budget_bytes=*/0,
-                                       config.params.engine_flavor);
+                                       span.begin, span.end);
       }()),
       metrics_(),
       rounds_(metrics_.counter("pbm.rounds")),
@@ -628,6 +623,7 @@ void PbmSolver::snapshot_stats() {
   stats_.final_beta_low = beta_low_;
   stats_.converged = converged_;
   stats_.min_active = span_.size();
+  stats_.engine_backend = engine_.backend();
 
   metrics_.counter("solver.iterations").set(round_);
   metrics_.counter("kernel.evaluations").set(kernel_.evaluations());

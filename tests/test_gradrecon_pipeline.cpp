@@ -1,7 +1,7 @@
 // Gradient-reconstruction ring parity. The reference backend's ring step is
 // the serial ring's per-stale-sample loop (ascending j, merge join,
 // (alpha*y)*K summed into a fresh +0.0 partial and added once), so the
-// double-buffered ring on the default dense_scatter backend must produce a
+// double-buffered ring on the dense_scatter path must produce a
 // BIT-IDENTICAL model to the same ring on the reference backend — same
 // iteration count, same beta, same support vectors, same coefficients — at
 // every world size and through crash/shrink chaos schedules. On top of

@@ -4,7 +4,6 @@
 
 #include "data/synthetic.hpp"
 #include "kernel/kernel.hpp"
-#include "kernel/row_eval.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -132,39 +131,6 @@ TEST(KernelParsing, RejectsUnknownName) {
   EXPECT_THROW((void)kernel_type_from_string("wavelet"), std::invalid_argument);
   EXPECT_EQ(kernel_type_from_string("gaussian"), KernelType::rbf);
   EXPECT_EQ(kernel_type_from_string("poly"), KernelType::polynomial);
-}
-
-TEST(RowEval, BatchMatchesScalarEvaluation) {
-  const Dataset d = test_data();
-  const Kernel kernel(KernelParams::rbf_with_sigma_sq(2.0));
-  const auto sq = d.X.row_squared_norms();
-  const auto query = d.X.row(3);
-  const auto batch = eval_all_rows(kernel, d.X, sq, query, sq[3], /*parallel=*/false);
-  ASSERT_EQ(batch.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], kernel.eval(d.X.row(i), query, sq[i], sq[3]));
-}
-
-TEST(RowEval, ParallelEqualsSerial) {
-  const Dataset d = test_data();
-  const Kernel kernel(KernelParams::rbf_with_sigma_sq(2.0));
-  const auto sq = d.X.row_squared_norms();
-  const auto query = d.X.row(0);
-  const auto serial = eval_all_rows(kernel, d.X, sq, query, sq[0], false);
-  const auto parallel = eval_all_rows(kernel, d.X, sq, query, sq[0], true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(serial[i], parallel[i]);
-}
-
-TEST(RowEval, SubrangeOffsets) {
-  const Dataset d = test_data();
-  const Kernel kernel(KernelParams::rbf_with_sigma_sq(2.0));
-  const auto sq = d.X.row_squared_norms();
-  const auto query = d.X.row(0);
-  std::vector<double> out(5);
-  eval_rows(kernel, d.X, sq, query, sq[0], 10, 15, out);
-  for (std::size_t k = 0; k < 5; ++k)
-    EXPECT_DOUBLE_EQ(out[k], kernel.eval(d.X.row(10 + k), query, sq[10 + k], sq[0]));
 }
 
 TEST(GramMatrix, RbfIsPositiveSemiDefinite) {

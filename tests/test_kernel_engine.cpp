@@ -1,8 +1,9 @@
-// KernelEngine: hand-computed values for every kernel type, and the bitwise
-// parity guarantee between the reference merge-join backend and the fused
-// dense_scatter backend. The parity is not approximate — EXPECT_EQ on
-// doubles — because checkpoint/chaos recovery and the model-parity tests all
-// assume the backends are interchangeable without changing a single bit.
+// KernelEngine: hand-computed values for every kernel type, the bitwise
+// parity guarantee between the reference merge-join path and the fused
+// dense_scatter and simd panel paths, and the `automatic` path rule. The
+// parity is not approximate — EXPECT_EQ on doubles — because
+// checkpoint/chaos recovery and the model-parity tests all assume the paths
+// are interchangeable without changing a single bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "data/zoo.hpp"
 #include "kernel/kernel_engine.hpp"
 
 namespace {
@@ -229,7 +231,7 @@ TEST(KernelEngineTest, SliceEngineMatchesFullEngineOnItsRange) {
 TEST(KernelEngineTest, KRowFloatsMatchesUnscaledKernelValues) {
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, /*cache_budget_bytes=*/1 << 20);
+  KernelEngine engine(kernel, d.X, EngineBackend::dense_scatter, /*cache_budget_bytes=*/1 << 20);
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
 
   const std::size_t n = d.size();
@@ -249,7 +251,7 @@ TEST(KernelEngineTest, KRowFloatsMatchesUnscaledKernelValues) {
 TEST(KernelEngineTest, KRowFloatsAppliesRowScaleLikeLibsvm) {
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, 1 << 20);
+  KernelEngine engine(kernel, d.X, EngineBackend::dense_scatter, 1 << 20);
   engine.set_row_scale(d.y);
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
 
@@ -269,7 +271,7 @@ TEST(KernelEngineTest, RowsStayCorrectUnderEvictionPressure) {
   const Dataset d = parity_dataset();
   const Kernel kernel(params_for(KernelType::rbf));
   const std::size_t n = d.size();
-  KernelEngine engine(kernel, d.X, EngineBackend::cached, n * sizeof(float));
+  KernelEngine engine(kernel, d.X, EngineBackend::dense_scatter, n * sizeof(float));
   KernelEngine ref(kernel, d.X, EngineBackend::reference);
 
   for (const std::size_t i : {2u, 8u, 2u, 8u, 5u}) {
@@ -391,10 +393,83 @@ TEST(KernelEngineTest, BatchPredictMatchesAccumulateRowsAcrossBackends) {
 }
 
 TEST(KernelEngineTest, BackendNamesRoundTrip) {
-  for (const EngineBackend b :
-       {EngineBackend::reference, EngineBackend::dense_scatter, EngineBackend::cached})
+  for (const EngineBackend b : {EngineBackend::reference, EngineBackend::dense_scatter,
+                                EngineBackend::automatic, EngineBackend::simd})
     EXPECT_EQ(engine_backend_from_string(to_string(b)), b);
   EXPECT_THROW((void)engine_backend_from_string("warp_drive"), std::invalid_argument);
+}
+
+TEST(KernelEngineTest, AutomaticTakesPanelsOnDenseRowsAndScatterOnSparseRows) {
+  // The two shapes the benchmark's workloads train on: higgs rows are dense
+  // (density 1.0), url rows are sparse (density 0.001).
+  const Kernel kernel(params_for(KernelType::rbf));
+  const Dataset higgs = svmdata::make_train(svmdata::zoo_entry("higgs"), 0.05);
+  const Dataset url = svmdata::make_train(svmdata::zoo_entry("url"), 0.05);
+  ASSERT_GE(higgs.X.density(), kPanelDensity);
+  ASSERT_LT(url.X.density(), kPanelDensity);
+  EXPECT_EQ(KernelEngine(kernel, higgs.X, EngineBackend::automatic).backend(),
+            EngineBackend::simd);
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::automatic).backend(),
+            EngineBackend::dense_scatter);
+  // A distributed rank's engine decides from its own block, and the panels
+  // cover exactly that block.
+  const std::size_t half = higgs.size() / 2;
+  const KernelEngine block(kernel, higgs.X, EngineBackend::automatic, half, higgs.size());
+  EXPECT_EQ(block.backend(), EngineBackend::simd);
+  EXPECT_GT(block.store_bytes(), 0u);
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::automatic, 0, url.size()).store_bytes(),
+            0u);
+  // A reduced flavor lives in the panels, whatever the density; an empty
+  // block has nothing to panel.
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::automatic, 0, 16, 0, RowFlavor::f32)
+                .backend(),
+            EngineBackend::simd);
+  EXPECT_EQ(KernelEngine(kernel, higgs.X, EngineBackend::automatic, 5, 5).backend(),
+            EngineBackend::dense_scatter);
+  // The forced paths are never re-resolved.
+  EXPECT_EQ(KernelEngine(kernel, higgs.X, EngineBackend::dense_scatter).backend(),
+            EngineBackend::dense_scatter);
+  EXPECT_EQ(KernelEngine(kernel, url.X, EngineBackend::simd, 0, 16).backend(),
+            EngineBackend::simd);
+}
+
+// --- single-query rows on every path ----------------------------------------
+
+constexpr EngineBackend kEveryPath[] = {EngineBackend::reference, EngineBackend::dense_scatter,
+                                        EngineBackend::simd, EngineBackend::automatic};
+
+TEST(RowEval, ParallelEqualsSerial) {
+  // Sparse rows and dense rows: each side of the automatic rule.
+  for (const Dataset& d : {parity_dataset(), svmdata::synthetic::gaussian_blobs(
+                                                 {.n = 30, .d = 6, .separation = 2.0,
+                                                  .seed = 17})}) {
+    const Kernel kernel(params_for(KernelType::rbf));
+    for (const EngineBackend path : kEveryPath) {
+      SCOPED_TRACE(to_string(path));
+      KernelEngine engine(kernel, d.X, path);
+      std::vector<double> serial(d.size()), parallel(d.size());
+      engine.eval_rows(d.X.row(0), engine.sq_norm(0), 0, d.size(), serial);
+      engine.eval_rows(d.X.row(0), engine.sq_norm(0), 0, d.size(), parallel,
+                       /*parallel=*/true);
+      for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(serial[i], parallel[i]) << i;
+    }
+  }
+}
+
+TEST(RowEval, SubrangeOffsets) {
+  const Dataset d =
+      svmdata::synthetic::gaussian_blobs({.n = 30, .d = 6, .separation = 2.0, .seed = 17});
+  const Kernel kernel(params_for(KernelType::rbf));
+  const auto sq = d.X.row_squared_norms();
+  const auto query = d.X.row(0);
+  for (const EngineBackend path : kEveryPath) {
+    SCOPED_TRACE(to_string(path));
+    KernelEngine engine(kernel, d.X, path);
+    std::vector<double> out(5);
+    engine.eval_rows(query, sq[0], 10, 15, out);
+    for (std::size_t k = 0; k < 5; ++k)
+      EXPECT_EQ(out[k], kernel.eval(d.X.row(10 + k), query, sq[10 + k], sq[0]));
+  }
 }
 
 }  // namespace

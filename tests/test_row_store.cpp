@@ -8,7 +8,8 @@
 //  - f16/i8 quantization error is bounded,
 //  - the flavored KernelRowCache charges encoded bytes and decodes
 //    deterministically,
-//  - training solvers refuse reduced-precision flavors,
+//  - flavored rows only go where they are encoded (panels or a Q-row
+//    cache),
 //  - flavored prediction passes its accuracy gates end to end.
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sequential_smo.hpp"
 #include "core/trainer.hpp"
 #include "data/zoo.hpp"
 #include "kernel/kernel_cache.hpp"
@@ -39,8 +39,8 @@ using svmkernel::RowStore;
 constexpr RowFlavor kAllFlavors[] = {RowFlavor::f64, RowFlavor::f32, RowFlavor::f16,
                                      RowFlavor::i8};
 constexpr EngineBackend kAllBackends[] = {EngineBackend::reference,
-                                          EngineBackend::dense_scatter, EngineBackend::cached,
-                                          EngineBackend::simd};
+                                          EngineBackend::dense_scatter,
+                                          EngineBackend::automatic, EngineBackend::simd};
 
 // Restores the runtime SIMD dispatch on scope exit, whatever the test did.
 struct DispatchGuard {
@@ -369,32 +369,28 @@ TEST(FlavoredCache, F32FlavorIsBitExact) {
 
 // --- flavor policy enforcement ---------------------------------------------
 
-TEST(FlavorPolicy, TrainingRejectsReducedPrecision) {
-  const auto& entry = svmdata::zoo_entry("mushrooms");
-  const Dataset train = svmdata::make_train(entry, 0.2);
-  svmcore::SolverParams params;
-  params.C = entry.C;
-  params.kernel = svmkernel::KernelParams::rbf_with_sigma_sq(entry.sigma_sq);
-  params.engine_flavor = RowFlavor::f32;
-  EXPECT_THROW((void)svmcore::solve_sequential(train, params), std::invalid_argument);
-}
-
 TEST(FlavorPolicy, ScalarBackendsRejectFlavoredRows) {
   const auto X = random_matrix(10, 8, 0.9, 1);
   const svmkernel::Kernel kernel{svmkernel::KernelParams{}};
+  // The reference oracle is exact.
   EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::reference, 0, 10, 0,
                                        RowFlavor::f16),
                std::invalid_argument);
+  EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::reference, 0, 10, 1 << 16,
+                                       RowFlavor::f16),
+               std::invalid_argument);
+  // dense_scatter encodes only cached Q rows, so it needs a budget to encode
+  // into (the libsvm-style baselines' compressed Q rows).
   EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::dense_scatter, 0, 10, 0,
                                        RowFlavor::i8),
                std::invalid_argument);
-  // cached + flavor needs an actual budget to encode into.
-  EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::cached, 0, 10, 0,
-                                       RowFlavor::f16),
-               std::invalid_argument);
-  // simd accepts every flavor; f64 there stays bit-exact.
+  EXPECT_NO_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::dense_scatter, 0, 10,
+                                          1 << 16, RowFlavor::f16));
+  // The panels accept every flavor; f64 there stays bit-exact.
   EXPECT_NO_THROW(
       svmkernel::KernelEngine(kernel, X, EngineBackend::simd, 0, 10, 0, RowFlavor::i8));
+  EXPECT_NO_THROW(
+      svmkernel::KernelEngine(kernel, X, EngineBackend::automatic, 0, 10, 0, RowFlavor::i8));
 }
 
 // --- end-to-end accuracy gates ---------------------------------------------

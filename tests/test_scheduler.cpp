@@ -196,11 +196,13 @@ TEST(Scheduler, RankDeathShrinksOnlyTheAffectedJob) {
 TEST(Scheduler, WatchdogCancelsAHungJobAndRequeuesIt) {
   const auto dataset = blobs(31, 160);
   SchedulerOptions options = base_options(4);
-  // A 0.8 s stall against a 0.1 s deadline, with the network timeout far
-  // out of reach: only the watchdog can unwedge the gang.
-  options.fault_plan.delay(1, 12, 0.8);
+  // A stall that lasts until the watchdog cancels it, against a deadline far
+  // above a fault-free attempt even on a contended host, and the network
+  // timeout (10 s) out of reach: only the watchdog can unwedge the gang, and
+  // only the stall can overrun the deadline.
+  options.fault_plan.delay(1, 12, 600.0);
   std::vector<JobSpec> jobs{job(0, dataset, 4)};
-  jobs[0].timeout_s = 0.1;
+  jobs[0].timeout_s = 2.0;
   const SchedulerReport report = svmsched::run_scheduler(std::move(jobs), options);
 
   ASSERT_EQ(report.completed, 1);
