@@ -2,8 +2,9 @@
 # Tier-1 verification plus sanitizer passes over the layers that need them.
 # Run from the repo root:
 #
-#   scripts/check.sh            # full: tier-1 build+ctest, ASan kernel tests, TSan chaos tests, werror, obs
+#   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos tests, werror, obs
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
+#   scripts/check.sh --contention  # only the full ctest suite, twice, on an oversubscribed host
 #   scripts/check.sh --asan     # only the ASan kernel/engine/cache tests
 #   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs tests
 #   scripts/check.sh --werror   # only the warnings-as-errors build of every target
@@ -12,6 +13,12 @@
 #   scripts/check.sh --simd     # only the SIMD/precision flavor checks
 #   scripts/check.sh --serve    # only the prediction-serving checks
 #   scripts/check.sh --pbm      # only the PBM-solver checks
+#
+# The contention pass runs the full ctest suite twice at -j$((2*nproc)).
+# Every test reserves 2 ctest processors and runs a 2-thread OpenMP team, so
+# about nproc tests run at once: twice the threads the host has cores. A
+# test whose verdict depends on wall-clock time (a deadline a fault-free
+# run can overrun under load) fails here first; both passes must be green.
 #
 # The ASan pass rebuilds the kernel-layer tests under -DSVM_SANITIZE=address
 # in a separate build tree (build-asan/) and runs the binaries directly; it
@@ -22,7 +29,7 @@
 # the `chaos`- and `obs`-labelled ctest suites: the fault-injection,
 # checkpoint/restart and elastic shrink-world tests plus the trace-recorder
 # concurrency tests. Failure detection, World::mark_failed poking,
-# Comm::agree, the generation hand-off in the elastic trainer and the
+# Comm::agree, ElasticAttempt's generation hand-off and the
 # lock-free per-thread trace rings are all cross-thread rendezvous under the
 # simulated MPI world — exactly the code a data-race would corrupt silently
 # in a plain run.
@@ -76,6 +83,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_tier1=true
+run_contention=true
 run_asan=true
 run_tsan=true
 run_werror=true
@@ -85,13 +93,14 @@ run_simd=true
 run_serve=true
 run_pbm=true
 only() {  # only <step>: disable every step except the named one
-  run_tier1=false; run_asan=false; run_tsan=false
+  run_tier1=false; run_contention=false; run_asan=false; run_tsan=false
   run_werror=false; run_obs=false; run_sched=false; run_simd=false
   run_serve=false; run_pbm=false
   eval "run_$1=true"
 }
 case "${1:-}" in
   --tier1) only tier1 ;;
+  --contention) only contention ;;
   --asan) only asan ;;
   --tsan) only tsan ;;
   --werror) only werror ;;
@@ -101,7 +110,7 @@ case "${1:-}" in
   --serve) only serve ;;
   --pbm) only pbm ;;
   "") ;;
-  *) echo "usage: scripts/check.sh [--tier1|--asan|--tsan|--werror|--obs|--sched|--simd|--serve|--pbm]" >&2; exit 2 ;;
+  *) echo "usage: scripts/check.sh [--tier1|--contention|--asan|--tsan|--werror|--obs|--sched|--simd|--serve|--pbm]" >&2; exit 2 ;;
 esac
 
 if $run_tier1; then
@@ -109,6 +118,17 @@ if $run_tier1; then
   cmake -B build -S . >/dev/null
   cmake --build build -j
   (cd build && ctest --output-on-failure -j "$(nproc)")
+fi
+
+if $run_contention; then
+  jobs=$((2 * $(nproc)))
+  echo "=== contention: full ctest twice at -j$jobs ==="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j
+  for pass in 1 2; do
+    echo "--- contention pass $pass of 2 ---"
+    (cd build && ctest --output-on-failure -j "$jobs")
+  done
 fi
 
 if $run_asan; then
@@ -174,7 +194,9 @@ if $run_sched; then
   echo "=== sched: TSan scheduler chaos suite + bench artifact gate ==="
   cmake -B build-tsan -S . -DSVM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target test_scheduler
-  (cd build-tsan && ctest -R test_scheduler --output-on-failure)
+  # ctest names are gtest's Suite.Test names, not binary names.
+  (cd build-tsan && ctest -R '^(Scheduler|SchedulerPrimitives|Workload)\.' \
+    --output-on-failure -j "$(nproc)")
   cmake -B build -S . >/dev/null
   cmake --build build -j --target bench_scheduler bench_diff trace_validate
   sched_dir=$(mktemp -d)
@@ -267,7 +289,7 @@ if $run_pbm; then
   echo "=== pbm: TSan solver suites + bench artifact gate ==="
   cmake -B build-tsan -S . -DSVM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target test_pbm test_pbm_chaos
-  (cd build-tsan && ctest -R 'test_pbm' --output-on-failure -j "$(nproc)")
+  (cd build-tsan && ctest -R '(^|/)Pbm' --output-on-failure -j "$(nproc)")
   cmake -B build -S . >/dev/null
   cmake --build build -j --target bench_pbm bench_diff trace_validate
   pbm_dir=$(mktemp -d)

@@ -4,7 +4,7 @@
 // and the solve driver's phase cursor) into a CheckpointStore. Because every
 // rank checkpoints at the same deterministic iteration boundaries, the
 // per-rank snapshots with a common epoch form a globally consistent cut; the
-// retry driver (solve_with_recovery) restores the newest epoch present on
+// retry driver (train_with_recovery) restores the newest epoch present on
 // ALL ranks and replays from there. The solver is deterministic given a
 // loop-top state, so a fault-free replay from any consistent cut converges
 // to the bit-identical model a failure-free run would produce.

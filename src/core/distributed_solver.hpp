@@ -46,10 +46,11 @@ struct DistributedConfig {
   std::uint64_t trace_active_interval = 0;
   /// Checkpoint/restart: when both are set, every rank serializes its solver
   /// state into `checkpoint_store` at iteration multiples of
-  /// `checkpoint_interval` (purely local — no extra communication), and a
-  /// freshly constructed solver restores the store's pinned epoch (see
-  /// CheckpointStore::begin_restart) before solving. Used by
-  /// solve_with_recovery to survive injected rank failures.
+  /// `checkpoint_interval` (purely local for SMO; PBM swaps the gamma slices
+  /// at its span edges), and a freshly constructed solver restores the
+  /// store's pinned epoch (see CheckpointStore::begin_restart) before
+  /// solving. Used by train_with_recovery and scheduled jobs to survive
+  /// injected rank failures.
   std::uint64_t checkpoint_interval = 0;
   CheckpointStore* checkpoint_store = nullptr;
 };

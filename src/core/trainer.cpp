@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,7 +12,6 @@
 #include "mpisim/spmd.hpp"
 #include "obs/trace.hpp"
 #include "solver/pbm_solver.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace svmcore {
@@ -31,14 +29,7 @@ SvmModel build_model(const svmdata::Dataset& dataset, std::span<const double> al
   return SvmModel(kernel, std::move(support_vectors), std::move(coefficients), beta);
 }
 
-namespace {
-
-/// Stitches per-rank results into the TrainResult (model assembly, scalar
-/// plucking, counter aggregation). `results` is indexed by world rank; after
-/// an elastic shrink a dead rank's slot is a default RankResult (empty alpha)
-/// and is skipped — scalars then come from the first completed rank, and the
-/// surviving ranks' post-shrink block ranges cover every sample.
-void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& config,
+void finish_result(const svmdata::Dataset& dataset, const SolverParams& params,
                    const std::vector<RankResult>& results, TrainResult& out) {
   const RankResult* first = nullptr;
   for (const RankResult& r : results)
@@ -96,9 +87,8 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
   // evaluation) plus the rank's modeled network time; take the slowest rank.
   constexpr double kLambdaSeconds = 50e-9;  // ~50ns per sparse kernel eval
   for (std::size_t r = 0; r < results.size(); ++r) {
-    const double modeled =
-        static_cast<double>(results[r].stats.kernel_evaluations) * kLambdaSeconds +
-        out.rank_traffic[r].modeled_seconds;
+    double modeled = static_cast<double>(results[r].stats.kernel_evaluations) * kLambdaSeconds;
+    if (r < out.rank_traffic.size()) modeled += out.rank_traffic[r].modeled_seconds;
     out.modeled_seconds = std::max(out.modeled_seconds, modeled);
   }
 
@@ -117,11 +107,13 @@ void finish_result(const svmdata::Dataset& dataset, const DistributedConfig& con
     out.engine_backend += (out.engine_backend.empty() ? "" : "+") + svmkernel::to_string(path);
     svmobs::trace_instant(svmkernel::trace_label(path), "meta");
   }
-  out.solver_algo = to_string(config.params.algo);
+  out.solver_algo = to_string(params.algo);
 
-  out.model = build_model(dataset, alpha, out.beta, config.params.kernel);
+  out.model = build_model(dataset, alpha, out.beta, params.kernel);
   out.alpha = std::move(alpha);
 }
+
+namespace {
 
 void validate_train_inputs(const svmdata::Dataset& dataset, const TrainOptions& options) {
   if (options.num_ranks <= 0) throw std::invalid_argument("train: num_ranks must be positive");
@@ -142,16 +134,6 @@ void run_solver(svmmpi::Comm& comm, const svmdata::Dataset& dataset,
     DistributedSolver solver(comm, dataset, config);
     out = solver.solve();
   }
-}
-
-/// PBM's block count must be fixed at LAUNCH rank count (not the current,
-/// possibly shrunken, world size) so the optimization trajectory survives
-/// elastic recovery unchanged. Resolved once here, before any SPMD region.
-void resolve_pbm_blocks(DistributedConfig& config, const TrainOptions& options) {
-  if (config.params.algo != SolverAlgo::pbm) return;
-  if (config.params.pbm_blocks == 0) config.params.pbm_blocks = options.num_ranks;
-  if (config.params.pbm_blocks < options.num_ranks)
-    throw std::invalid_argument("train: pbm_blocks must be >= num_ranks");
 }
 
 /// Shared SPMD launch + result assembly used by both entry points. `config`
@@ -176,127 +158,35 @@ TrainResult train_impl(const svmdata::Dataset& dataset, const TrainOptions& opti
       injector);
   out.wall_seconds = wall.seconds();
   out.traffic = total;
-  finish_result(dataset, config, results, out);
+  finish_result(dataset, config.params, results, out);
   return out;
 }
 
-/// shrink_then_restart found no reachable consistent cut: thrown by every
-/// survivor to tear the elastic region down so the driver can relaunch the
-/// full world instead.
+/// Thrown by every survivor when an elastic attempt escalates, to tear the
+/// region down so the caller can relaunch the full world instead.
 struct EscalateToRestart : std::runtime_error {
-  EscalateToRestart()
-      : std::runtime_error(
-            "elastic recovery: no consistent cut reachable; escalating to a full restart") {}
+  explicit EscalateToRestart(const std::string& cause)
+      : std::runtime_error("elastic recovery: escalating to a full restart after: " + cause) {}
 };
 
-/// Elastic shrink-world training: one SPMD region that survives permanent
-/// rank losses. Each rank's body is a retry loop: on the RankLost verdict the
-/// survivors shrink the communicator; the new leader models the memory loss
-/// in the generation's store, repartitions the reachable cut into a fresh
-/// store sized for the survivors and publishes it, and every survivor
-/// re-enters the solve on the shrunken communicator.
+/// Elastic shrink-world training: one SPMD region whose ranks run one
+/// ElasticAttempt, so it survives permanent rank losses in-world.
 TrainResult train_elastic(const svmdata::Dataset& dataset, const TrainOptions& options,
                           const DistributedConfig& config, svmmpi::FaultInjector* injector,
-                          bool escalate_when_unrecoverable, int max_shrinks,
-                          RecoveryReport& rep) {
+                          const RecoveryOptions& recovery, RecoveryReport& rep) {
   validate_train_inputs(dataset, options);
 
   std::vector<RankResult> results(options.num_ranks);
-
-  // Shrink-generation state, published by each generation's new leader.
-  struct Generation {
-    CheckpointStore* store = nullptr;  ///< store for the shrunken world
-    bool escalate = false;             ///< no reachable cut: abandon the region
-  };
-  std::mutex mutex;
-  std::condition_variable published_cv;
-  std::vector<Generation> published;
-  // Repartitioned stores must outlive the solvers reading them; the chain
-  // also keeps superseded generations alive for stragglers mid-recovery.
-  std::vector<std::unique_ptr<CheckpointStore>> chain;
+  ElasticOptions elastic_options;
+  elastic_options.policy = recovery.policy;
+  elastic_options.max_shrinks = recovery.max_shrinks;
+  ElasticAttempt attempt(std::move(elastic_options), rep);
 
   TrainResult out;
   svmutil::Timer wall;
   svmmpi::ElasticReport elastic = svmmpi::run_spmd_elastic(
       options.num_ranks,
-      [&](svmmpi::Comm& world_comm) {
-        svmmpi::Comm comm = world_comm;
-        CheckpointStore* gen_store = config.checkpoint_store;
-        std::size_t my_gen = 0;
-        for (;;) {
-          try {
-            DistributedConfig cfg = config;
-            cfg.checkpoint_store = gen_store;
-            run_solver(comm, dataset, cfg, results[world_comm.rank()]);
-            return;
-          } catch (const svmmpi::RankLost& lost) {
-            svmmpi::Comm next = comm.shrink();
-            if (next.rank() == 0) {
-              // This generation's new leader performs the repartition and
-              // publishes the outcome; survivors of the agree are guaranteed
-              // to reach this same generation, so the publish slot is unique.
-              std::lock_guard lock(mutex);
-              Generation gen;
-              for (const int world_rank : comm.dead_members())
-                if (std::find(rep.ranks_lost.begin(), rep.ranks_lost.end(), world_rank) ==
-                    rep.ranks_lost.end())
-                  rep.ranks_lost.push_back(world_rank);
-              rep.failures.push_back(lost.what());
-              if (max_shrinks >= 0 && static_cast<int>(my_gen) >= max_shrinks) {
-                // The shrink budget for this attempt is spent: tear the
-                // region down so the driver relaunches the full world.
-                gen.escalate = true;
-              } else if (gen_store != nullptr) {
-                // The dead ranks' process memory is gone: erase their primary
-                // copies (and the buddy replicas they held), then reach the
-                // newest consistent cut through the surviving replicas.
-                for (const int world_rank : comm.dead_members()) {
-                  const int old_rank = comm.comm_rank_of_world(world_rank);
-                  if (old_rank >= 0) gen_store->mark_rank_lost(old_rank);
-                }
-                auto fresh = std::make_unique<CheckpointStore>(next.size());
-                const std::optional<std::uint64_t> epoch =
-                    repartition_from_checkpoints(*gen_store, dataset.size(), *fresh);
-                if (epoch) {
-                  (void)fresh->begin_restart();
-                  gen.store = fresh.get();
-                  chain.push_back(std::move(fresh));
-                  ++rep.shrinks;
-                  rep.restore_epochs.push_back(*epoch);
-                } else if (escalate_when_unrecoverable) {
-                  gen.escalate = true;
-                } else {
-                  // No reachable cut: the shrunken world restarts from
-                  // scratch with a fresh (empty) store.
-                  gen.store = fresh.get();
-                  chain.push_back(std::move(fresh));
-                  ++rep.shrinks;
-                  rep.restore_epochs.push_back(0);
-                }
-              } else {
-                // Checkpointing disabled: resume from scratch, shrunken.
-                ++rep.shrinks;
-                rep.restore_epochs.push_back(0);
-              }
-              published.push_back(gen);
-              published_cv.notify_all();
-            }
-            Generation gen;
-            {
-              std::unique_lock lock(mutex);
-              published_cv.wait(lock, [&] { return published.size() > my_gen; });
-              gen = published[my_gen];
-            }
-            if (gen.escalate) throw EscalateToRestart{};
-            // Marks the start of the next recovery generation on this
-            // survivor's trace track.
-            svmobs::trace_instant("world_shrink", "fault");
-            comm = next;
-            gen_store = gen.store;
-            ++my_gen;
-          }
-        }
-      },
+      [&](svmmpi::Comm& comm) { results[comm.rank()] = attempt.solve(comm, dataset, config); },
       options.net_model,
       [&](const svmmpi::World& world) {
         out.rank_traffic.reserve(options.num_ranks);
@@ -305,39 +195,10 @@ TrainResult train_elastic(const svmdata::Dataset& dataset, const TrainOptions& o
       injector);
   out.wall_seconds = wall.seconds();
   out.traffic = elastic.stats;
-  for (const auto& store : chain) rep.checkpoints_saved += store->saves();
-  finish_result(dataset, config, results, out);
+  rep.checkpoints_saved += attempt.checkpoints_saved();
+  finish_result(dataset, config.params, results, out);
   return out;
 }
-
-/// Scoped trace recording for one train() call: reset + enable on entry,
-/// disable + flush-to-file on EVERY exit — a failing run unwinds through
-/// here with its rank threads already joined (the SPMD launcher joins before
-/// rethrowing), so the partial trace is complete and race-free.
-class TraceSession {
- public:
-  explicit TraceSession(const TrainOptions& options)
-      : path_(options.trace_path), active_(!options.trace_path.empty()) {
-    if (!active_) return;
-    svmobs::trace_reset();
-    svmobs::trace_enable(options.trace_buffer_events);
-  }
-  ~TraceSession() {
-    if (!active_) return;
-    svmobs::trace_disable();
-    try {
-      svmobs::trace_write(path_);
-    } catch (const std::exception& e) {
-      SVM_LOG_WARN << "trace flush failed: " << e.what();
-    }
-  }
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
- private:
-  std::string path_;
-  bool active_;
-};
 
 void maybe_write_metrics(const TrainResult& result, const TrainOptions& options) {
   if (options.metrics_path.empty()) return;
@@ -345,6 +206,105 @@ void maybe_write_metrics(const TrainResult& result, const TrainOptions& options)
 }
 
 }  // namespace
+
+DistributedConfig solver_config(const SolverParams& params, const TrainOptions& options,
+                                std::uint64_t checkpoint_interval, CheckpointStore* store) {
+  DistributedConfig config{params,
+                           options.heuristic,
+                           options.permanent_shrink,
+                           options.openmp_gamma,
+                           options.trace_active_interval};
+  config.checkpoint_interval = checkpoint_interval;
+  if (checkpoint_interval > 0) config.checkpoint_store = store;
+  if (config.params.algo == SolverAlgo::pbm) {
+    if (config.params.pbm_blocks == 0) config.params.pbm_blocks = options.num_ranks;
+    if (config.params.pbm_blocks < options.num_ranks)
+      throw std::invalid_argument("train: pbm_blocks must be >= num_ranks");
+  }
+  return config;
+}
+
+ElasticAttempt::ElasticAttempt(ElasticOptions options, RecoveryReport& report)
+    : options_(std::move(options)), report_(report) {}
+
+RankResult ElasticAttempt::solve(svmmpi::Comm comm, const svmdata::Dataset& dataset,
+                                 const DistributedConfig& config) {
+  DistributedConfig cfg = config;
+  for (std::size_t generation = 0;; ++generation) {
+    try {
+      RankResult out;
+      run_solver(comm, dataset, cfg, out);
+      return out;
+    } catch (const svmmpi::RankLost& lost) {
+      svmmpi::Comm next = comm.shrink(options_.context_salt + generation + 1);
+      if (next.rank() == 0)
+        publish(comm, next, lost, generation, cfg.checkpoint_store, dataset.size());
+      Generation gen;
+      {
+        std::unique_lock lock(mutex_);
+        published_cv_.wait(lock, [&] { return published_.size() > generation; });
+        gen = published_[generation];
+      }
+      if (gen.escalate) throw EscalateToRestart(lost.what());
+      // Marks the start of the next recovery generation on this survivor's
+      // trace track.
+      svmobs::trace_instant("world_shrink", "fault");
+      if (options_.on_shrink) options_.on_shrink(next);
+      comm = std::move(next);
+      cfg.checkpoint_store = gen.store;
+    }
+  }
+}
+
+void ElasticAttempt::publish(const svmmpi::Comm& old_comm, const svmmpi::Comm& next,
+                             const svmmpi::RankLost& lost, std::size_t generation,
+                             CheckpointStore* store, std::size_t samples) {
+  // Every survivor of the agree reaches this same generation, so this new
+  // leader's publish slot is unique.
+  const std::vector<int> dead = old_comm.dead_members();
+  std::lock_guard lock(mutex_);
+  for (const int world_rank : dead)
+    if (std::find(report_.ranks_lost.begin(), report_.ranks_lost.end(), world_rank) ==
+        report_.ranks_lost.end())
+      report_.ranks_lost.push_back(world_rank);
+  report_.failures.push_back(lost.what());
+
+  const bool budget_spent =
+      options_.policy == RecoveryPolicy::restart_world ||
+      (options_.max_shrinks >= 0 && generation >= static_cast<std::size_t>(options_.max_shrinks));
+  Generation gen;
+  std::optional<std::uint64_t> epoch;
+  if (!budget_spent && store != nullptr) {
+    // The dead ranks' process memory is gone: erase their primary copies
+    // (and the buddy replicas they held), then reach the newest consistent
+    // cut through the surviving replicas.
+    for (const int world_rank : dead) {
+      const int old_rank = old_comm.comm_rank_of_world(world_rank);
+      if (old_rank >= 0) store->mark_rank_lost(old_rank);
+    }
+    auto fresh = std::make_unique<CheckpointStore>(next.size());
+    epoch = repartition_from_checkpoints(*store, samples, *fresh);
+    if (epoch) (void)fresh->begin_restart();
+    gen.store = fresh.get();
+    chain_.push_back(std::move(fresh));
+  }
+  // No reachable cut (checkpointing off included): shrink_world resumes the
+  // shrunken world from scratch, shrink_then_restart escalates.
+  gen.escalate =
+      budget_spent || (!epoch && options_.policy == RecoveryPolicy::shrink_then_restart);
+  if (!gen.escalate) {
+    ++report_.shrinks;
+    report_.restore_epochs.push_back(epoch.value_or(0));
+  }
+  published_.push_back(gen);
+  published_cv_.notify_all();
+}
+
+std::uint64_t ElasticAttempt::checkpoints_saved() const {
+  std::uint64_t saved = 0;
+  for (const auto& store : chain_) saved += store->saves();
+  return saved;
+}
 
 svmobs::RunReport run_report(const TrainResult& result, const TrainOptions& options,
                              std::string name) {
@@ -367,13 +327,8 @@ svmobs::RunReport run_report(const TrainResult& result, const TrainOptions& opti
 
 TrainResult train(const svmdata::Dataset& dataset, const SolverParams& params,
                   const TrainOptions& options) {
-  DistributedConfig config{params,
-                           options.heuristic,
-                           options.permanent_shrink,
-                           options.openmp_gamma,
-                           options.trace_active_interval};
-  resolve_pbm_blocks(config, options);
-  TraceSession trace(options);
+  const DistributedConfig config = solver_config(params, options);
+  svmobs::TraceSession trace(options.trace_path, options.trace_buffer_events);
   TrainResult out = train_impl(dataset, options, config, /*injector=*/nullptr);
   maybe_write_metrics(out, options);
   return out;
@@ -401,14 +356,8 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
     throw std::invalid_argument("train_with_recovery: store num_ranks mismatch");
   }
 
-  DistributedConfig config{params,
-                           options.heuristic,
-                           options.permanent_shrink,
-                           options.openmp_gamma,
-                           options.trace_active_interval};
-  config.checkpoint_interval = recovery.checkpoint_interval;
-  config.checkpoint_store = recovery.checkpoint_interval > 0 ? store : nullptr;
-  resolve_pbm_blocks(config, options);
+  const DistributedConfig config =
+      solver_config(params, options, recovery.checkpoint_interval, store);
 
   RecoveryReport local_report;
   RecoveryReport& rep = report != nullptr ? *report : local_report;
@@ -416,7 +365,7 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
 
   // One trace session across every attempt, so restarts and recovery
   // generations land on one timeline (marked by the instants below).
-  TraceSession trace(options);
+  svmobs::TraceSession trace(options.trace_path, options.trace_buffer_events);
 
   // The elastic policies recover in-world; the driver loop only sees their
   // unrecoverable outcomes (escalation, unexplained timeout) and relaunches
@@ -429,9 +378,7 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
       TrainResult out =
           recovery.policy == RecoveryPolicy::restart_world
               ? train_impl(dataset, options, config, &injector)
-              : train_elastic(dataset, options, config, &injector,
-                              recovery.policy == RecoveryPolicy::shrink_then_restart,
-                              recovery.max_shrinks, rep);
+              : train_elastic(dataset, options, config, &injector, recovery, rep);
       rep.checkpoints_saved += store->saves();
       for (const std::uint64_t epoch : rep.restore_epochs)
         rep.iterations_replayed += out.iterations - std::min(epoch, out.iterations);

@@ -5,6 +5,10 @@
 // examples/parallel_training.cpp) can construct DistributedSolver directly.
 #pragma once
 
+#include <condition_variable>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -170,6 +174,89 @@ struct RecoveryReport {
                                               const TrainOptions& options,
                                               const RecoveryOptions& recovery,
                                               RecoveryReport* report = nullptr);
+
+/// The solver configuration train() runs `params` with under `options`.
+/// PBM's block count is pinned to the LAUNCH rank count options.num_ranks
+/// (0 resolves to it; fewer blocks than ranks is rejected), so a later
+/// shrink leaves the optimization trajectory unchanged. Checkpointing is
+/// wired to `store` when `checkpoint_interval` > 0.
+[[nodiscard]] DistributedConfig solver_config(const SolverParams& params,
+                                              const TrainOptions& options,
+                                              std::uint64_t checkpoint_interval = 0,
+                                              CheckpointStore* store = nullptr);
+
+/// What the callers of an elastic solve choose; the recovery loop itself is
+/// ElasticAttempt's.
+struct ElasticOptions {
+  /// restart_world spends no shrink: every loss escalates. shrink_world
+  /// restarts the shrunken world from scratch when no consistent cut is
+  /// reachable; shrink_then_restart escalates then.
+  RecoveryPolicy policy = RecoveryPolicy::shrink_world;
+  /// Shrink generations before a further loss escalates; negative = no cap.
+  int max_shrinks = -1;
+  /// Shrink generation g (1-based) gets the context keyed by
+  /// context_salt + g, so concurrent attempts in one world never share one.
+  std::uint64_t context_salt = 0;
+  /// Called on every survivor with its shrunken communicator before it
+  /// resumes the solve.
+  std::function<void(const svmmpi::Comm&)> on_shrink;
+};
+
+/// One elastic attempt: the shrink-recovery loop every rank of an attempt
+/// runs, and the generation state its ranks share. On the RankLost verdict
+/// the survivors shrink the communicator; the new leader marks the dead
+/// ranks' memory lost, repartitions the newest reachable checkpoint cut into
+/// a store sized for the survivors and publishes it; every survivor then
+/// resumes the solve on the shrunken communicator. train_with_recovery's
+/// shrink policies and the scheduler's gang members both run it.
+class ElasticAttempt {
+ public:
+  /// `report` receives the leader-written account: shrinks, resume epochs,
+  /// ranks lost and failure messages. It must outlive the attempt.
+  ElasticAttempt(ElasticOptions options, RecoveryReport& report);
+  ElasticAttempt(const ElasticAttempt&) = delete;
+  ElasticAttempt& operator=(const ElasticAttempt&) = delete;
+
+  /// One rank's body; every rank of the attempt passes the same dataset and
+  /// config. Runs the solver config.params.algo names on `comm` (restoring
+  /// config.checkpoint_store's pinned cut) and returns this rank's result.
+  /// Throws std::runtime_error on every survivor when the policy escalates;
+  /// the rank's own RankFailed and any other error propagate.
+  [[nodiscard]] RankResult solve(svmmpi::Comm comm, const svmdata::Dataset& dataset,
+                                 const DistributedConfig& config);
+
+  /// Checkpoints saved into the stores this attempt's shrinks created. Call
+  /// after every rank has returned.
+  [[nodiscard]] std::uint64_t checkpoints_saved() const;
+
+ private:
+  struct Generation {
+    CheckpointStore* store = nullptr;  ///< store for the shrunken world
+    bool escalate = false;             ///< abandon the attempt
+  };
+
+  /// The new leader's half of a shrink (called with `mutex_` unheld).
+  void publish(const svmmpi::Comm& old_comm, const svmmpi::Comm& next,
+               const svmmpi::RankLost& lost, std::size_t generation,
+               CheckpointStore* store, std::size_t samples);
+
+  ElasticOptions options_;
+  std::mutex mutex_;
+  std::condition_variable published_cv_;
+  RecoveryReport& report_;              ///< guarded by mutex_
+  std::vector<Generation> published_;   ///< guarded by mutex_
+  /// Repartitioned stores must outlive the solvers reading them; the chain
+  /// also keeps superseded generations alive for stragglers mid-recovery.
+  std::vector<std::unique_ptr<CheckpointStore>> chain_;  ///< guarded by mutex_
+};
+
+/// Stitches per-rank solver results into `out`: the global alpha and the
+/// model, scalars from the first rank that finished, summed counters and
+/// per-rank metric registries (completed with net.* counters when
+/// out.rank_traffic is filled). `results` is indexed by starting rank; a
+/// rank lost to a shrink leaves a default (empty) RankResult and is skipped.
+void finish_result(const svmdata::Dataset& dataset, const SolverParams& params,
+                   const std::vector<RankResult>& results, TrainResult& out);
 
 /// Builds a model from a full alpha vector (e.g. the sequential solver's).
 [[nodiscard]] SvmModel build_model(const svmdata::Dataset& dataset,

@@ -19,8 +19,8 @@ namespace svmcore {
 /// Which distributed training algorithm drives the dual optimization.
 /// `smo` is the paper's shrinking-SMO (one working-set broadcast per
 /// iteration); `pbm` is Parallel Block Minimization (Hsieh, Si, Dhillon —
-/// arXiv:1608.02010): per-block subproblem re-solves with one delta
-/// allreduce per outer round, trading iterations for communication.
+/// arXiv:1608.02010): per-block subproblem re-solves with one alpha-delta
+/// sync per outer round, trading iterations for communication.
 enum class SolverAlgo : std::uint8_t { smo, pbm };
 
 [[nodiscard]] inline const char* to_string(SolverAlgo algo) noexcept {
@@ -33,11 +33,13 @@ enum class SolverAlgo : std::uint8_t { smo, pbm };
   throw std::invalid_argument("unknown solver algorithm '" + name + "' (expected smo|pbm)");
 }
 
-/// Wire encoding of a PBM round's alpha delta. `dense` allreduces the full
-/// n-vector (one tree collective, partition-independent arithmetic —
-/// required for bit-identical shrink-world recovery); `sparse` circulates
-/// only the changed samples on the pipelined ring from PR 4 (cheaper when
-/// few alphas move, but the regrouping is partition-dependent);
+/// Wire encoding of a PBM round's alpha delta. `dense` allgathers each
+/// rank's owned alpha slice and concatenates them in rank order (one
+/// collective, ~8n/p injected bytes per rank; the new alpha is exactly the
+/// same for every rank partition — required for bit-identical shrink-world
+/// recovery); `sparse` circulates only the changed samples on the pipelined
+/// reconstruction ring (cheaper when few alphas move, but the regrouping is
+/// partition-dependent);
 /// `auto_select` picks per round from the globally agreed nnz count using
 /// the alpha-beta model.
 enum class PbmDeltaEncoding : std::uint8_t { auto_select, dense, sparse };

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "util/logging.hpp"
 
 namespace svmobs {
 
@@ -351,6 +352,23 @@ void trace_write(const std::string& path) {
   const std::string json = trace_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   if (!out) throw std::runtime_error("svmobs: failed writing trace to " + path);
+}
+
+TraceSession::TraceSession(std::string path, std::size_t events_per_thread)
+    : path_(std::move(path)) {
+  if (path_.empty()) return;
+  trace_reset();
+  trace_enable(events_per_thread);
+}
+
+TraceSession::~TraceSession() {
+  if (path_.empty()) return;
+  trace_disable();
+  try {
+    trace_write(path_);
+  } catch (const std::exception& e) {
+    SVM_LOG_WARN << "trace flush failed: " << e.what();
+  }
 }
 
 }  // namespace svmobs

@@ -27,8 +27,8 @@
 //
 //  4. Crash-safe flush. Faults in this codebase surface as C++ exceptions,
 //     so TraceSpan unwinds close open spans, and the recorder can always
-//     export a well-formed partial trace after a failed run (the trainer
-//     flushes from a scope guard).
+//     export a well-formed partial trace after a failed run (TraceSession
+//     flushes on every exit).
 //
 // Event taxonomy (category / name) is documented in DESIGN.md
 // "Observability". Names and categories MUST be string literals (or
@@ -186,5 +186,22 @@ class TraceRound {
 
 /// trace_json() to a file; throws std::runtime_error on I/O failure.
 void trace_write(const std::string& path);
+
+/// Scoped trace recording for one run (a train(), scheduler or serving
+/// call): reset + enable on entry, disable + write `path` on EVERY exit. A
+/// failing run unwinds through here with its rank threads already joined
+/// (the SPMD launchers join before rethrowing), so the partial trace is
+/// complete and race-free. A failed write is logged as a warning, never
+/// thrown. An empty path leaves the recorder untouched.
+class TraceSession {
+ public:
+  explicit TraceSession(std::string path, std::size_t events_per_thread = 1u << 16);
+  ~TraceSession();
+  TraceSession(const TraceSession&) = delete;
+  TraceSession& operator=(const TraceSession&) = delete;
+
+ private:
+  std::string path_;
+};
 
 }  // namespace svmobs

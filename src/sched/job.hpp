@@ -22,6 +22,14 @@
 
 namespace svmsched {
 
+/// Every attempt runs the trainer's own per-rank path on its gang
+/// (svmcore::solver_config, ElasticAttempt, finish_result): a fault-free
+/// attempt's model is bit-identical to train()'s at the gang size it started
+/// with, and an in-job shrink recovers exactly as train_with_recovery's
+/// shrink policies do. An attempt whose solve throws anything but a fault
+/// (say, a dataset holding one class) fails like a crash: its siblings are
+/// cancelled, the job retries and ends lost once max_retries is spent, and
+/// other jobs never see it.
 struct JobSpec {
   int id = -1;                 ///< assigned by the workload generator / caller
   std::string name;            ///< human-readable ("grid C=1 g=0.25", "pair 3v7")
@@ -29,6 +37,8 @@ struct JobSpec {
   int priority = 0;            ///< higher dispatches first
   int ranks = 2;               ///< requested gang size (see SchedulerOptions)
   std::shared_ptr<const svmdata::Dataset> dataset;
+  /// params.algo picks the solver (smo or pbm); PBM's block count resolves
+  /// to the gang size the attempt starts with.
   svmcore::SolverParams params{};
   svmcore::Heuristic heuristic{};
   /// Arrival offset from scheduler start (synthetic trace time). Jobs are
@@ -41,13 +51,13 @@ struct JobSpec {
   /// Additional attempts after the first before the job is declared lost.
   int max_retries = 2;
   /// Checkpoint cadence in solver iterations; 0 disables checkpointing
-  /// (an in-job shrink then resumes from scratch on the survivors).
+  /// (no cut is then reachable after a loss: see `policy`).
   std::uint64_t checkpoint_interval = 32;
   /// How the job responds to a permanent rank loss mid-attempt:
   /// shrink_world continues in-job on the survivors (buddy-replica
-  /// repartition); restart_world abandons the attempt and requeues;
-  /// shrink_then_restart shrinks while a consistent cut is reachable and
-  /// requeues otherwise.
+  /// repartition, or from scratch when no cut is reachable); restart_world
+  /// abandons the attempt and requeues; shrink_then_restart shrinks while a
+  /// consistent cut is reachable and requeues otherwise.
   svmcore::RecoveryPolicy policy = svmcore::RecoveryPolicy::shrink_world;
 };
 

@@ -9,19 +9,16 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "core/checkpoint.hpp"
-#include "core/distributed_solver.hpp"
+#include "core/trainer.hpp"
 #include "mpisim/spmd.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -32,34 +29,48 @@ namespace {
 constexpr int kNoContext = -1;
 
 /// State shared by one dispatched attempt's gang members and the
-/// dispatcher's watchdog. The generation machinery mirrors train_elastic's
-/// leader-publishes/survivors-wait dance, scoped to this attempt.
+/// dispatcher's watchdog.
 struct AttemptShared {
+  AttemptShared(std::uint64_t attempt_uid, std::vector<int> gang, svmcore::RecoveryPolicy policy)
+      : uid(attempt_uid),
+        members(std::move(gang)),
+        store(std::make_unique<svmcore::CheckpointStore>(static_cast<int>(members.size()))),
+        results(members.size()),
+        elastic(elastic_options(policy), recovery) {}
+
   std::uint64_t uid = 0;           ///< unique per dispatch, 1-based
   std::vector<int> members;        ///< sorted world ranks of the gang
   int initial_context = kNoContext;
 
-  /// Watchdog target: the gang's LIVE communicator context. Each shrink
-  /// generation's leader retargets it so a cancel always reaches the
-  /// context the survivors are actually blocked on.
+  /// Watchdog target: the gang's LIVE communicator context. The survivors of
+  /// each in-job shrink retarget it so a cancel always reaches the context
+  /// they are actually blocked on.
   std::atomic<int> live_context{kNoContext};
 
-  struct Generation {
-    svmcore::CheckpointStore* store = nullptr;
-    bool escalate = false;  ///< abandon the attempt (no reachable cut)
-  };
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<Generation> published;
-  /// Repartitioned stores must outlive the solvers reading them; the chain
-  /// also keeps superseded generations alive for stragglers mid-recovery.
-  std::vector<std::unique_ptr<svmcore::CheckpointStore>> chain;
   std::unique_ptr<svmcore::CheckpointStore> store;  ///< generation 0
+  /// One result per member, by gang index; each member writes only its own
+  /// slot, before it reports. A member lost to a shrink leaves its slot empty.
+  std::vector<svmcore::RankResult> results;
+  /// Shrinks and ranks lost, written by the shrink leaders; the dispatcher
+  /// reads it only at finalization, after every member has reported.
+  svmcore::RecoveryReport recovery;
+  svmcore::ElasticAttempt elastic;
 
-  // Leader-written attempt accounting (under mutex); the dispatcher reads
-  // it only at finalization, after every member has reported.
-  int shrinks = 0;
-  std::vector<int> ranks_lost;
+ private:
+  [[nodiscard]] svmcore::ElasticOptions elastic_options(svmcore::RecoveryPolicy policy) {
+    svmcore::ElasticOptions options;
+    options.policy = policy;
+    // uid is unique per dispatch and generations are small, so no two
+    // (attempt, generation) pairs — across all jobs and tenants — share a
+    // shrink-derived context: the survivors' fresh context can never be one
+    // another tenant abandoned mid-collective.
+    options.context_salt = uid << 16;
+    options.on_shrink = [this](const svmmpi::Comm& next) {
+      live_context.store(next.context_id());
+      svmobs::trace_instant("job_shrink", "sched");
+    };
+    return options;
+  }
 };
 
 struct Directive {
@@ -72,25 +83,18 @@ struct Directive {
 /// One gang member's verdict on its attempt, reported to the dispatcher.
 struct MemberReport {
   enum class Kind : std::uint8_t {
-    success,    ///< solve + model assembly completed
-    crashed,    ///< this member hit a TRANSIENT RankFailed; rank reusable
+    success,    ///< solve completed; the result is in the attempt's slot
     died,       ///< this member hit a PERMANENT RankFailed; rank is gone
     cancelled,  ///< unwound by context cancellation (watchdog / fast-fail)
-    failed,     ///< unrecoverable attempt failure (escalation, timeout, ...)
+    /// anything else: a TRANSIENT RankFailed (the rank relaunches into the
+    /// pool), an escalation, a timeout, a job the solver rejects
+    failed,
   };
   std::uint64_t attempt = 0;
   int job = -1;
   int world_rank = -1;
   Kind kind = Kind::failed;
   std::string error;
-
-  // Carried by the member that assembled the model (job leader at finish).
-  bool has_model = false;
-  svmcore::SvmModel model;
-  double beta = 0.0;
-  std::uint64_t iterations = 0;
-  bool converged = false;
-  int started_ranks = 0;  ///< gang size the attempt STARTED with
 };
 
 /// Pool plumbing between the dispatcher thread and the rank threads.
@@ -111,18 +115,12 @@ struct Pool {
   std::deque<MemberReport> reports;
 };
 
-/// Per-attempt-per-generation context salt: uid is unique per dispatch and
-/// generations are small, so no two (attempt, generation) pairs — across
-/// all jobs and tenants — can ever share a shrink-derived context.
-[[nodiscard]] std::uint64_t shrink_salt(std::uint64_t uid, std::size_t generation) {
-  return (uid << 16) + static_cast<std::uint64_t>(generation);
-}
-
-/// Runs one attempt on this gang member: split off the job communicator,
-/// solve (shrinking in-job on permanent losses per the job's policy), and
-/// assemble the model at the job leader. RankFailed propagates to the
-/// caller — the worker loop translates it (crashed/died) and, for permanent
-/// deaths, rethrows so the elastic launcher marks the world rank dead.
+/// Runs one attempt on this gang member: split off the job communicator and
+/// run the job's elastic solve (shrinking in-job on permanent losses per the
+/// job's policy), handing the result to the attempt. RankFailed propagates
+/// to the caller — the worker loop translates it (failed/died) and, for
+/// permanent deaths, rethrows so the elastic launcher marks the world rank
+/// dead. Any other error fails the attempt on this member.
 [[nodiscard]] MemberReport run_member(svmmpi::Comm& world_comm, const Directive& directive,
                                       const JobSpec& spec) {
   AttemptShared& at = *directive.shared;
@@ -130,124 +128,30 @@ struct Pool {
   out.attempt = at.uid;
   out.job = directive.job;
   out.world_rank = world_comm.rank();
-  out.started_ranks = static_cast<int>(at.members.size());
-
-  svmmpi::Comm comm = world_comm.split_subset(at.members, at.initial_context);
-  svmcore::CheckpointStore* gen_store = at.store.get();
-  std::size_t my_gen = 0;
 
   svmobs::TraceSpan span("job", "sched");
   try {
-    for (;;) {
-      try {
-        svmcore::DistributedConfig cfg;
-        cfg.params = spec.params;
-        cfg.heuristic = spec.heuristic;
-        cfg.checkpoint_interval = spec.checkpoint_interval;
-        cfg.checkpoint_store = spec.checkpoint_interval > 0 ? gen_store : nullptr;
-        svmcore::DistributedSolver solver(comm, *spec.dataset, cfg);
-        svmcore::RankResult result = solver.solve();
-
-        // Model assembly: every member contributes [begin, end, alpha...];
-        // the job leader stitches the global alpha and builds the model.
-        std::vector<double> packed;
-        packed.reserve(2 + result.alpha.size());
-        packed.push_back(static_cast<double>(result.range.begin));
-        packed.push_back(static_cast<double>(result.range.end));
-        packed.insert(packed.end(), result.alpha.begin(), result.alpha.end());
-        const auto parts = comm.allgatherv(std::span<const double>(packed));
-
-        out.kind = MemberReport::Kind::success;
-        if (comm.rank() == 0) {
-          std::vector<double> alpha(spec.dataset->size(), 0.0);
-          for (const auto& part : parts) {
-            const auto begin = static_cast<std::size_t>(part[0]);
-            std::copy(part.begin() + 2, part.end(), alpha.begin() + begin);
-          }
-          out.model = svmcore::build_model(*spec.dataset, alpha, result.beta, spec.params.kernel);
-          out.has_model = true;
-          out.beta = result.beta;
-          out.iterations = result.stats.iterations;
-          out.converged = result.stats.converged;
-        }
-        return out;
-      } catch (const svmmpi::RankLost& lost) {
-        if (spec.policy == svmcore::RecoveryPolicy::restart_world) {
-          // Job-level restart: abandon the attempt; the dispatcher requeues
-          // it onto a fresh gang from scratch.
-          out.kind = MemberReport::Kind::failed;
-          out.error = lost.what();
-          return out;
-        }
-        // ULFM in-job shrink, salted so the survivors' fresh context can
-        // never be one another tenant abandoned mid-collective.
-        svmmpi::Comm next = comm.shrink(shrink_salt(at.uid, my_gen + 1));
-        if (next.rank() == 0) {
-          std::lock_guard lock(at.mutex);
-          AttemptShared::Generation gen;
-          for (const int dead : comm.dead_members())
-            if (std::find(at.ranks_lost.begin(), at.ranks_lost.end(), dead) ==
-                at.ranks_lost.end())
-              at.ranks_lost.push_back(dead);
-          if (gen_store != nullptr) {
-            // The dead ranks' memory is gone: erase their primary copies
-            // (and the buddy replicas they held), then migrate the newest
-            // cut still reachable through surviving replicas.
-            for (const int dead : comm.dead_members()) {
-              const int old_rank = comm.comm_rank_of_world(dead);
-              if (old_rank >= 0) gen_store->mark_rank_lost(old_rank);
-            }
-            auto fresh = std::make_unique<svmcore::CheckpointStore>(next.size());
-            const std::optional<std::uint64_t> epoch =
-                repartition_from_checkpoints(*gen_store, spec.dataset->size(), *fresh);
-            if (epoch) {
-              (void)fresh->begin_restart();
-              gen.store = fresh.get();
-              at.chain.push_back(std::move(fresh));
-            } else if (spec.policy == svmcore::RecoveryPolicy::shrink_then_restart) {
-              gen.escalate = true;
-            } else {
-              // No reachable cut under shrink_world: the survivors restart
-              // the job from scratch, shrunken.
-              gen.store = fresh.get();
-              at.chain.push_back(std::move(fresh));
-            }
-          }
-          if (!gen.escalate) {
-            ++at.shrinks;
-            at.live_context.store(next.context_id());
-          }
-          at.published.push_back(gen);
-          at.cv.notify_all();
-        }
-        AttemptShared::Generation gen;
-        {
-          std::unique_lock lock(at.mutex);
-          at.cv.wait(lock, [&] { return at.published.size() > my_gen; });
-          gen = at.published[my_gen];
-        }
-        if (gen.escalate) {
-          out.kind = MemberReport::Kind::failed;
-          out.error = lost.what();
-          return out;
-        }
-        svmobs::trace_instant("job_shrink", "sched");
-        comm = next;
-        gen_store = gen.store;
-        ++my_gen;
-      }
-    }
+    const svmmpi::Comm comm = world_comm.split_subset(at.members, at.initial_context);
+    svmcore::TrainOptions gang;
+    gang.heuristic = spec.heuristic;
+    gang.num_ranks = comm.size();
+    const svmcore::DistributedConfig config =
+        svmcore::solver_config(spec.params, gang, spec.checkpoint_interval, at.store.get());
+    at.results[static_cast<std::size_t>(comm.rank())] =
+        at.elastic.solve(comm, *spec.dataset, config);
+    out.kind = MemberReport::Kind::success;
+  } catch (const svmmpi::RankFailed&) {
+    throw;
   } catch (const svmmpi::ContextCancelled& cancelled) {
     out.kind = MemberReport::Kind::cancelled;
     out.error = cancelled.what();
-    return out;
-  } catch (const svmmpi::TimeoutError& timeout) {
-    // Unexplained stall (no member death, no cancellation): give the rank
-    // back and let the dispatcher's retry budget decide the job's fate.
+  } catch (const std::exception& e) {
+    // Escalation, an unexplained stall, or a job its solver rejects: give
+    // the rank back and let the dispatcher's retry budget decide the job.
     out.kind = MemberReport::Kind::failed;
-    out.error = timeout.what();
-    return out;
+    out.error = e.what();
   }
+  return out;
 }
 
 /// Everything the dispatcher decides, kept off the pool mutex (the
@@ -317,7 +221,8 @@ class Dispatcher {
     bool watchdog_fired = false;       ///< ... because the deadline expired
     int cancelled_context = kNoContext;  ///< context the cancel targeted
     std::set<int> waiting;             ///< members that have not reported yet
-    bool success = false;              ///< some member delivered the model
+    bool solved = false;               ///< some member finished its solve
+    bool failed = false;               ///< some member failed or was cancelled
     std::string error;                 ///< first failure description seen
   };
 
@@ -371,21 +276,14 @@ class Dispatcher {
     if (attempt.error.empty() && !report.error.empty()) attempt.error = report.error;
     switch (report.kind) {
       case MemberReport::Kind::success:
-        if (report.has_model) {
-          JobRecord& rec = records_[attempt.job];
-          rec.model = std::move(report.model);
-          rec.beta = report.beta;
-          rec.iterations = report.iterations;
-          rec.converged = report.converged;
-          rec.gang_size = report.started_ranks;
-          attempt.success = true;
-        }
+        attempt.solved = true;
         release_rank(report.world_rank);
         break;
-      case MemberReport::Kind::crashed:
-        // Transient crash: the rank's "process" relaunches into the pool.
-        // Fast-fail the blocked siblings so the gang drains promptly
-        // instead of waiting out the network deadline.
+      case MemberReport::Kind::failed:
+        // The rank is free again (a transient crash's process relaunches
+        // into the pool). Fast-fail the blocked siblings so the gang drains
+        // promptly instead of waiting out the network deadline.
+        attempt.failed = true;
         release_rank(report.world_rank);
         cancel_attempt(attempt, /*watchdog=*/false);
         break;
@@ -393,7 +291,7 @@ class Dispatcher {
         dead_.insert(report.world_rank);
         break;
       case MemberReport::Kind::cancelled:
-      case MemberReport::Kind::failed:
+        attempt.failed = true;
         release_rank(report.world_rank);
         break;
     }
@@ -427,17 +325,23 @@ class Dispatcher {
     RunningAttempt attempt = std::move(it->second);
     running_.erase(it);
     JobRecord& rec = records_[attempt.job];
-    {
-      std::lock_guard lock(attempt.shared->mutex);
-      rec.shrinks += attempt.shared->shrinks;
-      for (const int lost : attempt.shared->ranks_lost)
-        if (std::find(rec.ranks_lost.begin(), rec.ranks_lost.end(), lost) ==
-            rec.ranks_lost.end())
-          rec.ranks_lost.push_back(lost);
-    }
-    const double gang = static_cast<double>(attempt.shared->members.size());
+    const AttemptShared& at = *attempt.shared;
+    rec.shrinks += at.recovery.shrinks;
+    for (const int lost : at.recovery.ranks_lost)
+      if (std::find(rec.ranks_lost.begin(), rec.ranks_lost.end(), lost) == rec.ranks_lost.end())
+        rec.ranks_lost.push_back(lost);
+    const double gang = static_cast<double>(at.members.size());
     tenant_usage_[rec.spec.tenant] += gang * (now - attempt.started_s);
-    if (attempt.success) {
+    if (attempt.solved && !attempt.failed) {
+      // The trainer's assembly: the same stitch train() runs, so a job's
+      // model is bit-identical to train()'s at its starting gang size.
+      svmcore::TrainResult result;
+      svmcore::finish_result(*rec.spec.dataset, rec.spec.params, at.results, result);
+      rec.model = std::move(result.model);
+      rec.beta = result.beta;
+      rec.iterations = result.iterations;
+      rec.converged = result.converged;
+      rec.gang_size = static_cast<int>(at.members.size());
       rec.state = JobState::completed;
       rec.latency_s = now - admit_time_[attempt.job];
       svmobs::trace_instant("job_complete", "sched");
@@ -522,10 +426,8 @@ class Dispatcher {
   [[nodiscard]] bool dispatch(int job, double now) {
     JobRecord& rec = records_[job];
     const int gang = gang_size_for(job);
-    auto shared = std::make_shared<AttemptShared>();
-    shared->uid = ++attempt_counter_;
-    shared->members.assign(free_.begin(), free_.begin() + gang);
-    shared->store = std::make_unique<svmcore::CheckpointStore>(gang);
+    auto shared = std::make_shared<AttemptShared>(
+        ++attempt_counter_, std::vector<int>(free_.begin(), free_.begin() + gang), rec.spec.policy);
     {
       // One locked section: context creation needs the world lease, and
       // pushing the directives under the same hold means no member can see
@@ -600,33 +502,6 @@ class Dispatcher {
   std::map<std::uint64_t, RunningAttempt> running_;
   std::map<std::string, double> tenant_usage_;  ///< accrued rank-seconds
   std::uint64_t attempt_counter_ = 0;
-};
-
-/// Scoped trace recording for one scheduler run (same discipline as
-/// train()'s TraceSession: flush on EVERY exit so a failing run still
-/// leaves a balanced, viewable trace).
-class ObsSession {
- public:
-  explicit ObsSession(const std::string& path) : path_(path), active_(!path.empty()) {
-    if (!active_) return;
-    svmobs::trace_reset();
-    svmobs::trace_enable();
-  }
-  ~ObsSession() {
-    if (!active_) return;
-    svmobs::trace_disable();
-    try {
-      svmobs::trace_write(path_);
-    } catch (const std::exception& e) {
-      SVM_LOG_WARN << "scheduler trace flush failed: " << e.what();
-    }
-  }
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
- private:
-  std::string path_;
-  bool active_;
 };
 
 void validate(const std::vector<JobSpec>& jobs, const SchedulerOptions& options) {
@@ -713,7 +588,7 @@ SchedulerReport run_scheduler(std::vector<JobSpec> jobs, const SchedulerOptions&
     report.jobs.push_back(std::move(rec));
   }
 
-  ObsSession obs(options.trace_path);
+  svmobs::TraceSession trace(options.trace_path);
   svmmpi::FaultInjector injector(options.fault_plan);
   Pool pool;
   pool.alive = options.pool_ranks;
@@ -765,7 +640,7 @@ SchedulerReport run_scheduler(std::vector<JobSpec> jobs, const SchedulerOptions&
               member.job = directive.job;
               member.world_rank = me;
               member.kind = failure.permanent ? MemberReport::Kind::died
-                                              : MemberReport::Kind::crashed;
+                                              : MemberReport::Kind::failed;
               member.error = failure.what();
               {
                 std::lock_guard lock(pool.mutex);

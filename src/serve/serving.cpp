@@ -900,32 +900,6 @@ void maybe_write_metrics(const ServeReport& report, const LoadSpec& load,
   svmobs::write_reports(options.metrics_path, {run});
 }
 
-/// Scoped trace recording for one serving run (flush on every exit, same
-/// discipline as the scheduler's session).
-class ObsSession {
- public:
-  explicit ObsSession(const std::string& path) : path_(path), active_(!path.empty()) {
-    if (!active_) return;
-    svmobs::trace_reset();
-    svmobs::trace_enable();
-  }
-  ~ObsSession() {
-    if (!active_) return;
-    svmobs::trace_disable();
-    try {
-      svmobs::trace_write(path_);
-    } catch (const std::exception& e) {
-      SVM_LOG_WARN << "svmserve trace flush failed: " << e.what();
-    }
-  }
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
- private:
-  std::string path_;
-  bool active_;
-};
-
 void validate(const svmcore::SvmModel& model, const svmdata::CsrMatrix& queries,
               const LoadSpec& load, const ServeOptions& opt) {
   if (opt.shards < 1) throw std::invalid_argument("run_serving: shards must be >= 1");
@@ -975,7 +949,7 @@ ServeReport run_serving(const svmcore::SvmModel& model, const svmdata::CsrMatrix
   Shared sh;
   sh.records = &report.requests;
 
-  ObsSession obs(options.trace_path);
+  svmobs::TraceSession trace(options.trace_path);
   std::optional<svmmpi::FaultInjector> injector;
   if (options.fault_plan != nullptr) injector.emplace(*options.fault_plan);
 

@@ -615,6 +615,32 @@ TEST(ElasticShrinkRecovery, ShrinkThenRestartSurvivesDoubleDeath) {
   EXPECT_NEAR(model_objective(out.model), model_objective(baseline.model), 1e-10);
 }
 
+TEST(ElasticShrinkRecovery, ShrinkThenRestartWithoutCheckpointsEscalates) {
+  const Dataset d = chaos_dataset();
+  const SolverParams params = rbf_params();
+  TrainOptions options = ranks4(Heuristic::best());
+  options.net_model.timeout_s = 5.0;
+
+  const TrainResult baseline = svmcore::train(d, params, options);
+  const std::uint64_t total_ops = probe_ops(d, params, options, /*rank=*/1);
+
+  // Checkpointing off: no cut is ever reachable, so shrink_then_restart
+  // escalates to a full-width restart instead of shrinking.
+  RecoveryOptions recovery;
+  recovery.fault_plan = FaultPlan{}.die(1, total_ops / 2);
+  recovery.policy = RecoveryPolicy::shrink_then_restart;
+  recovery.checkpoint_interval = 0;
+  RecoveryReport report;
+  const TrainResult out = svmcore::train_with_recovery(d, params, options, recovery, &report);
+
+  EXPECT_EQ(report.shrinks, 0);
+  EXPECT_EQ(report.restarts, 1);
+  EXPECT_EQ(report.ranks_lost, std::vector<int>{1});
+  ASSERT_EQ(report.restore_epochs.size(), 1u);
+  EXPECT_EQ(report.restore_epochs[0], 0u);
+  expect_same_model(out, baseline, /*tolerance=*/0.0);
+}
+
 TEST(ElasticShrinkRecovery, ShrinkPolicyRequiresDeadlineDetection) {
   const Dataset d = chaos_dataset();
   RecoveryOptions recovery;

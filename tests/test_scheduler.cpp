@@ -11,14 +11,22 @@
 //    rejected, accepted jobs all complete;
 //  - transient crashes retry: the rank rejoins the pool, the job requeues
 //    and completes with no permanent loss recorded;
-//  - fixed seeds replay deterministically: same workload, same models.
+//  - fixed seeds replay deterministically: same workload, same models;
+//  - a job trains with the algorithm its params name, through the trainer's
+//    own recovery and assembly path: a PBM job matches train(pbm) bit for
+//    bit, with or without an in-job shrink;
+//  - a job its solver rejects fails alone: it ends lost after its retries
+//    and every other tenant's job completes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/distributed_solver.hpp"
+#include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/fault.hpp"
@@ -26,6 +34,7 @@
 #include "mpisim/world.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
+#include "solver/pbm_solver.hpp"
 
 namespace {
 
@@ -65,25 +74,49 @@ JobSpec job(int id, std::shared_ptr<const svmdata::Dataset> dataset, int ranks) 
 /// Rank-local communication-op count of `rank` for a plain p-rank solve of
 /// `dataset` — op counts are deterministic and advance only inside jobs, so
 /// this targets a fault at a specific fraction of a specific job's solve.
-std::uint64_t probe_solve_ops(const svmdata::Dataset& dataset, int num_ranks, int rank) {
+/// PBM's checkpoints exchange gamma slices, so its probe saves at the job's
+/// cadence too.
+std::uint64_t probe_solve_ops(const svmdata::Dataset& dataset, int num_ranks, int rank,
+                              const svmcore::SolverParams& params = {},
+                              std::uint64_t checkpoint_interval = 0) {
+  svmcore::TrainOptions options;
+  options.num_ranks = num_ranks;
+  svmcore::CheckpointStore store(num_ranks);
+  const svmcore::DistributedConfig cfg =
+      svmcore::solver_config(params, options, checkpoint_interval, &store);
   svmmpi::FaultInjector probe{svmmpi::FaultPlan{}};
   (void)svmmpi::run_spmd(
       num_ranks,
       [&](svmmpi::Comm& comm) {
-        svmcore::DistributedConfig cfg;
-        svmcore::DistributedSolver solver(comm, dataset, cfg);
-        (void)solver.solve();
+        if (params.algo == svmcore::SolverAlgo::pbm) {
+          svmcore::PbmSolver solver(comm, dataset, cfg);
+          (void)solver.solve();
+        } else {
+          svmcore::DistributedSolver solver(comm, dataset, cfg);
+          (void)solver.solve();
+        }
       },
       svmmpi::NetModel{}, nullptr, &probe);
   return probe.ops(rank);
 }
 
-/// Scheduler-free reference: the model a `ranks`-gang produces for this
-/// dataset (the scheduler's leader-side assembly must match it exactly).
-svmcore::SvmModel reference_model(const svmdata::Dataset& dataset, int ranks) {
+/// Scheduler-free reference: what train() produces for this dataset on a
+/// `ranks`-rank launch (the scheduler's assembly must match it exactly).
+svmcore::TrainResult reference_train(const svmdata::Dataset& dataset, int ranks,
+                                     const svmcore::SolverParams& params = {}) {
   svmcore::TrainOptions options;
   options.num_ranks = ranks;
-  return svmcore::train(dataset, svmcore::SolverParams{}, options).model;
+  return svmcore::train(dataset, params, options);
+}
+
+svmcore::SvmModel reference_model(const svmdata::Dataset& dataset, int ranks) {
+  return reference_train(dataset, ranks).model;
+}
+
+svmcore::SolverParams pbm_params() {
+  svmcore::SolverParams params;
+  params.algo = svmcore::SolverAlgo::pbm;
+  return params;
 }
 
 void expect_identical_models(const svmcore::SvmModel& a, const svmcore::SvmModel& b) {
@@ -277,6 +310,71 @@ TEST(Scheduler, FixedSeedWorkloadReplaysBitIdentically) {
     EXPECT_EQ(first.jobs[j].iterations, second.jobs[j].iterations);
     expect_identical_models(first.jobs[j].model, second.jobs[j].model);
   }
+}
+
+TEST(Scheduler, PbmJobMatchesPlainTrainBitForBit) {
+  const auto dataset = blobs(11);
+  std::vector<JobSpec> jobs{job(0, dataset, 2)};
+  jobs[0].params = pbm_params();
+  const SchedulerReport report = svmsched::run_scheduler(std::move(jobs), base_options(2));
+
+  ASSERT_EQ(report.completed, 1);
+  const JobRecord& rec = report.jobs[0];
+  const svmcore::TrainResult reference = reference_train(*dataset, 2, pbm_params());
+  ASSERT_EQ(reference.solver_algo, "pbm");
+  EXPECT_EQ(rec.iterations, reference.iterations);  // PBM's outer rounds
+  EXPECT_EQ(rec.converged, reference.converged);
+  expect_identical_models(rec.model, reference.model);
+}
+
+TEST(Scheduler, PbmJobSurvivesRankDeathBitIdentically) {
+  const auto dataset = blobs(71);
+  std::vector<JobSpec> jobs{job(0, dataset, 4)};
+  jobs[0].params = pbm_params();
+  jobs[0].checkpoint_interval = 1;  // every outer round
+  const std::uint64_t ops = probe_solve_ops(*dataset, 4, 2, pbm_params(), 1);
+  ASSERT_GT(ops, 4u);
+
+  SchedulerOptions options = base_options(4);
+  options.fault_plan.die(2, ops / 2);
+  const SchedulerReport report = svmsched::run_scheduler(std::move(jobs), options);
+
+  ASSERT_EQ(report.completed, 1);
+  const JobRecord& rec = report.jobs[0];
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_EQ(rec.shrinks, 1);
+  EXPECT_EQ(rec.ranks_lost, std::vector<int>{2});
+  EXPECT_EQ(rec.gang_size, 4);
+  // PBM's block structure is pinned to the starting gang, so the survivors
+  // replay the fault-free 4-rank trajectory exactly.
+  const svmcore::TrainResult reference = reference_train(*dataset, 4, pbm_params());
+  EXPECT_EQ(rec.iterations, reference.iterations);
+  expect_identical_models(rec.model, reference.model);
+}
+
+TEST(Scheduler, FailingJobIsLostWithoutStoppingOthers) {
+  // Tenant A's job holds one class only, which the solver rejects.
+  svmdata::Dataset one_class = *blobs(81, 120);
+  std::fill(one_class.y.begin(), one_class.y.end(), 1.0);
+  const auto good = blobs(82);
+  std::vector<JobSpec> jobs{
+      job(0, std::make_shared<const svmdata::Dataset>(std::move(one_class)), 2),
+      job(1, good, 2)};
+  jobs[0].tenant = "tenant-a";
+  jobs[1].tenant = "tenant-b";
+  const SchedulerReport report = svmsched::run_scheduler(std::move(jobs), base_options(4));
+
+  const JobRecord& failing = report.jobs[0];
+  EXPECT_EQ(failing.state, JobState::lost);
+  EXPECT_EQ(failing.attempts, 1 + failing.spec.max_retries);
+  EXPECT_NE(failing.error.find("both classes"), std::string::npos) << failing.error;
+  const JobRecord& healthy = report.jobs[1];
+  EXPECT_EQ(healthy.state, JobState::completed);
+  EXPECT_EQ(healthy.attempts, 1);
+  expect_identical_models(healthy.model, reference_model(*good, 2));
+  EXPECT_EQ(report.completed, 1);
+  EXPECT_EQ(report.lost, 1);
+  EXPECT_TRUE(report.pool_ranks_lost.empty());
 }
 
 TEST(Workload, OneVsOneLowersEveryPairToAJob) {
