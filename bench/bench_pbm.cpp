@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   svmbench::print_banner(
       "pbm - parallel block minimization vs shrinking-SMO",
       "per-rank blocks re-solved with warm-started working-set SMO, one "
-      "compressed delta sync per outer round; comm volume and modeled "
+      "alpha allgatherv per outer round; comm volume and modeled "
       "alpha-beta time to the same eps");
 
   bool ok = true;
@@ -200,10 +200,6 @@ int main(int argc, char** argv) {
 
       svmcore::SolverParams pbm_params = base;
       pbm_params.algo = svmcore::SolverAlgo::pbm;
-      // Let the round's own census pick the wire format: late rounds move a
-      // handful of alphas and go out as sparse (index, delta) pairs over the
-      // pipelined ring, which is where the comm-volume win lives.
-      pbm_params.pbm_delta = svmcore::PbmDeltaEncoding::auto_select;
       // The observability artifacts ride on the first p>=4 PBM run: one
       // representative trace with pbm_round/pbm_sync spans and one metrics
       // report with the pbm.* counters.

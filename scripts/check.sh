@@ -57,8 +57,8 @@
 # tools/bench_diff (self-diff quiet, perturbed copy caught).
 #
 # The pbm pass rebuilds the PBM solver suites under TSan and runs them (the
-# block solves, the delta-sync ring and the shrink-world recovery replay are
-# all cross-thread rendezvous under the simulated world), then runs
+# block solves, the per-round alpha allgatherv and the shrink-world recovery
+# replay are all cross-thread rendezvous under the simulated world), then runs
 # bench_pbm --quick --assert (both solvers converge to the same KKT gap,
 # SV-set agreement holds, and PBM moves >= 2x fewer bytes than SMO at
 # p >= 8) with tracing on, validates the pbm spans and the run report, and

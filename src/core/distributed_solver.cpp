@@ -374,27 +374,6 @@ void DistributedSolver::maybe_trace_active() {
   }
 }
 
-void DistributedSolver::refresh_bounds_all_samples() {
-  svmmpi::DoubleInt up{kInf, std::numeric_limits<std::int64_t>::max()};
-  svmmpi::DoubleInt low{-kInf, std::numeric_limits<std::int64_t>::max()};
-  for (std::size_t i = 0; i < range_.size(); ++i) {
-    const std::size_t g = range_.begin + i;
-    const IndexSet set = classify(data_.y[g], alpha_[i], config_.params.C_of(data_.y[g]));
-    if (in_up_set(set) && gamma_[i] < up.value)
-      up = svmmpi::DoubleInt{gamma_[i], static_cast<std::int64_t>(g)};
-    if (in_low_set(set) && gamma_[i] > low.value)
-      low = svmmpi::DoubleInt{gamma_[i], static_cast<std::int64_t>(g)};
-  }
-  const svmmpi::DoubleInt global_up = comm_.allreduce_minloc(up);
-  const svmmpi::DoubleInt global_low = comm_.allreduce_maxloc(low);
-  beta_up_ = global_up.value;
-  beta_low_ = global_low.value;
-  i_up_ = global_up.index;
-  i_low_ = global_low.index;
-  stats_.final_beta_up = beta_up_;
-  stats_.final_beta_low = beta_low_;
-}
-
 void DistributedSolver::snapshot_stats() {
   stats_.iterations = iterations_.value();
   stats_.samples_shrunk = samples_shrunk_.value();

@@ -103,10 +103,6 @@ class DistributedSolver {
   /// Appends the locally-owned sample `global` to `out`.
   void pack_local_sample(PackedSamples& out, std::int64_t global);
 
-  /// Recomputes local extrema over ALL local samples and Allreduces them;
-  /// used after reconstruction.
-  void refresh_bounds_all_samples();
-
   /// Records the global active-set size when tracing is enabled.
   void maybe_trace_active();
 

@@ -149,8 +149,9 @@ void DistributedSolver::reconstruct_gradients() {
   active_.resize(range_.size());
   for (std::size_t i = 0; i < range_.size(); ++i) active_[i] = static_cast<std::uint32_t>(i);
 
-  // Lines 7-12: recompute the global bounds over the full sample set.
-  refresh_bounds_all_samples();
+  // Lines 7-12: recompute the global bounds over the full sample set (the
+  // active set now lists every local sample in ascending order).
+  select_violators();
 
   metrics_.gauge("recon.total_s").add(timer.seconds());
   metrics_.counter("recon.kernel_evaluations").add(kernel_.evaluations() - kernel_evals_before);

@@ -272,16 +272,18 @@ void ElasticAttempt::publish(const svmmpi::Comm& old_comm, const svmmpi::Comm& n
   const bool budget_spent =
       options_.policy == RecoveryPolicy::restart_world ||
       (options_.max_shrinks >= 0 && generation >= static_cast<std::size_t>(options_.max_shrinks));
-  Generation gen;
-  std::optional<std::uint64_t> epoch;
-  if (!budget_spent && store != nullptr) {
-    // The dead ranks' process memory is gone: erase their primary copies
-    // (and the buddy replicas they held), then reach the newest consistent
-    // cut through the surviving replicas.
+  // The dead ranks' process memory is gone whatever happens next: erase
+  // their primary copies (and the buddy replicas they held), so neither a
+  // shrink nor an escalated full-world restart can read them.
+  if (store != nullptr)
     for (const int world_rank : dead) {
       const int old_rank = old_comm.comm_rank_of_world(world_rank);
       if (old_rank >= 0) store->mark_rank_lost(old_rank);
     }
+  Generation gen;
+  std::optional<std::uint64_t> epoch;
+  if (!budget_spent && store != nullptr) {
+    // Reach the newest consistent cut through the surviving replicas.
     auto fresh = std::make_unique<CheckpointStore>(next.size());
     epoch = repartition_from_checkpoints(*store, samples, *fresh);
     if (epoch) (void)fresh->begin_restart();

@@ -1,7 +1,7 @@
 // Shared solver types: parameters, per-sample index-set classification
 // (Eq. 4), termination statistics. Used by the sequential solver, the
-// parallel "Original" solver (Algorithm 2) and the shrinking solvers
-// (Algorithms 4 and 5).
+// parallel "Original" solver (Algorithm 2), the shrinking solvers
+// (Algorithms 4 and 5) and the PBM solver.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +19,9 @@ namespace svmcore {
 /// Which distributed training algorithm drives the dual optimization.
 /// `smo` is the paper's shrinking-SMO (one working-set broadcast per
 /// iteration); `pbm` is Parallel Block Minimization (Hsieh, Si, Dhillon —
-/// arXiv:1608.02010): per-block subproblem re-solves with one alpha-delta
-/// sync per outer round, trading iterations for communication.
+/// arXiv:1608.02010): per-block subproblem re-solves with one allgatherv of
+/// the owned alpha slices per outer round, trading iterations for
+/// communication.
 enum class SolverAlgo : std::uint8_t { smo, pbm };
 
 [[nodiscard]] inline const char* to_string(SolverAlgo algo) noexcept {
@@ -33,31 +34,13 @@ enum class SolverAlgo : std::uint8_t { smo, pbm };
   throw std::invalid_argument("unknown solver algorithm '" + name + "' (expected smo|pbm)");
 }
 
-/// Wire encoding of a PBM round's alpha delta. `dense` allgathers each
-/// rank's owned alpha slice and concatenates them in rank order (one
-/// collective, ~8n/p injected bytes per rank; the new alpha is exactly the
-/// same for every rank partition — required for bit-identical shrink-world
-/// recovery); `sparse` circulates only the changed samples on the pipelined
-/// reconstruction ring (cheaper when few alphas move, but the regrouping is
-/// partition-dependent);
-/// `auto_select` picks per round from the globally agreed nnz count using
-/// the alpha-beta model.
-enum class PbmDeltaEncoding : std::uint8_t { auto_select, dense, sparse };
-
-[[nodiscard]] inline const char* to_string(PbmDeltaEncoding encoding) noexcept {
-  switch (encoding) {
-    case PbmDeltaEncoding::dense: return "dense";
-    case PbmDeltaEncoding::sparse: return "sparse";
-    case PbmDeltaEncoding::auto_select: break;
-  }
-  return "auto";
-}
-
 struct SolverParams {
   double C = 1.0;  ///< box constraint
   svmkernel::KernelParams kernel{};
   double eps = 1e-3;  ///< user tolerance; terminate when beta_up + 2*eps >= beta_low
-  std::uint64_t max_iterations = 100'000'000;  ///< safety valve, not a tuning knob
+  /// Safety valve, not a tuning knob. PBM applies it to each block's inner
+  /// SMO solve per round and to its cross-block polish steps.
+  std::uint64_t max_iterations = 100'000'000;
 
   /// Kernel-evaluation path of the solver engines. `automatic` lets each
   /// engine pick from its own rows (kernel_engine.hpp); the forced paths
@@ -80,17 +63,6 @@ struct SolverParams {
   /// and with it the optimization trajectory — stays fixed across
   /// shrink-world recoveries and restarts.
   int pbm_blocks = 0;
-
-  /// PBM: cap on inner SMO iterations per block per round. 0 picks a
-  /// heuristic from the block size. Small caps communicate more rounds;
-  /// large caps over-solve stale subproblems.
-  std::uint64_t pbm_inner_iterations = 0;
-
-  /// PBM: safety valve on outer rounds (like max_iterations for SMO).
-  std::uint64_t pbm_max_rounds = 10'000;
-
-  /// PBM: delta wire encoding (see PbmDeltaEncoding).
-  PbmDeltaEncoding pbm_delta = PbmDeltaEncoding::dense;
 
   [[nodiscard]] double C_of(double y) const noexcept {
     return C * (y > 0.0 ? weight_positive : weight_negative);

@@ -56,7 +56,7 @@ struct FlowGroup {
 bool is_wait_span(const std::string& name, const std::string& category) {
   if (category == "collective") return true;
   if (category == "net") return name == "recv" || name == "recv_deadline";
-  return name == "ring_wait" || name == "pbm_ring_wait";
+  return name == "ring_wait";
 }
 
 /// Ready time of a flow group from a given rank's perspective: the moment

@@ -13,8 +13,10 @@ namespace svmcore {
 
 namespace {
 
-constexpr int kTagPbmRing = 21;    ///< sparse delta-ring exchanges
 constexpr int kTagPbmSliver = 22;  ///< checkpoint-time gamma sliver hand-off
+
+/// Safety valve on outer rounds (max_iterations plays this role for SMO).
+constexpr std::uint64_t kMaxRounds = 10'000;
 
 /// Squared norm of an arbitrary dataset row, computed with the exact same
 /// helper the engine's norm table uses, so a row's norm is bitwise identical
@@ -24,65 +26,56 @@ double row_sq_norm(const svmdata::CsrMatrix& X, std::size_t g) {
   return svmdata::CsrMatrix::squared_norm(X.row(g));
 }
 
+/// This rank's assigned blocks [first, last): the contiguous run of blocks
+/// whose first sample falls inside its partition slice. Fixed B >= p
+/// guarantees at least one per rank (both partitions front-load their
+/// remainder).
+std::pair<int, int> assigned_blocks(const svmmpi::Comm& comm, std::size_t n, int blocks) {
+  if (blocks < comm.size())
+    throw std::invalid_argument(
+        "PbmSolver: pbm_blocks must be >= the rank count (the trainer resolves 0 to "
+        "the launch rank count)");
+  if (static_cast<std::size_t>(blocks) > n)
+    throw std::invalid_argument("PbmSolver: pbm_blocks must not exceed the sample count");
+  int first = -1;
+  int last = -1;
+  for (int b = 0; b < blocks; ++b) {
+    if (svmdata::owner_of(n, comm.size(), svmdata::block_range(n, blocks, b).begin) ==
+        comm.rank()) {
+      if (first < 0) first = b;
+      last = b + 1;
+    }
+  }
+  if (first < 0) throw std::logic_error("PbmSolver: rank received no blocks (partition anomaly)");
+  return {first, last};
+}
+
 }  // namespace
 
 PbmSolver::PbmSolver(svmmpi::Comm& comm, const svmdata::Dataset& dataset,
                      const DistributedConfig& config)
+    : PbmSolver(comm, dataset, config,
+                assigned_blocks(comm, dataset.size(), config.params.pbm_blocks)) {}
+
+PbmSolver::PbmSolver(svmmpi::Comm& comm, const svmdata::Dataset& dataset,
+                     const DistributedConfig& config, std::pair<int, int> assigned)
     : comm_(comm),
       data_(dataset),
       config_(config),
       n_(dataset.size()),
       blocks_(config.params.pbm_blocks),
       range_(svmdata::block_range(dataset.size(), comm.size(), comm.rank())),
-      first_block_(0),
-      last_block_(0),
+      first_block_(assigned.first),
+      last_block_(assigned.second),
+      span_{block_of(first_block_).begin, block_of(last_block_ - 1).end},
       kernel_(config.params.kernel),
-      engine_([&]() -> svmkernel::KernelEngine {
-        if (config.params.pbm_blocks < comm.size())
-          throw std::invalid_argument(
-              "PbmSolver: pbm_blocks must be >= the rank count (the trainer resolves 0 to "
-              "the launch rank count)");
-        if (static_cast<std::size_t>(config.params.pbm_blocks) > dataset.size())
-          throw std::invalid_argument("PbmSolver: pbm_blocks must not exceed the sample count");
-        // Assigned blocks: the contiguous run of blocks whose first sample
-        // falls inside this rank's partition slice. Fixed B >= p guarantees
-        // at least one per rank (both partitions front-load their remainder).
-        const std::size_t n = dataset.size();
-        const int B = config.params.pbm_blocks;
-        int first = -1;
-        int last = -1;
-        for (int b = 0; b < B; ++b) {
-          if (svmdata::owner_of(n, comm.size(), svmdata::block_range(n, B, b).begin) ==
-              comm.rank()) {
-            if (first < 0) first = b;
-            last = b + 1;
-          }
-        }
-        if (first < 0)
-          throw std::logic_error("PbmSolver: rank received no blocks (partition anomaly)");
-        const svmdata::BlockRange span{svmdata::block_range(n, B, first).begin,
-                                       svmdata::block_range(n, B, last - 1).end};
-        return svmkernel::KernelEngine(kernel_, dataset.X, config.params.engine_backend,
-                                       span.begin, span.end);
-      }()),
+      engine_(kernel_, dataset.X, config.params.engine_backend, span_.begin, span_.end),
       metrics_(),
       rounds_(metrics_.counter("pbm.rounds")),
       inner_iterations_(metrics_.counter("pbm.inner_iterations")),
       polish_iterations_(metrics_.counter("pbm.polish_iterations")),
       delta_nnz_(metrics_.counter("pbm.delta_nnz")),
-      sync_payload_bytes_(metrics_.counter("pbm.sync_payload_bytes")),
-      dense_rounds_(metrics_.counter("pbm.dense_rounds")),
-      sparse_rounds_(metrics_.counter("pbm.sparse_rounds")) {
-  // Recompute the assignment for the members (the engine lambda cannot
-  // write them before the member is initialized).
-  for (int b = 0; b < blocks_; ++b) {
-    if (svmdata::owner_of(n_, comm_.size(), block_of(b).begin) == comm_.rank()) {
-      if (last_block_ == first_block_) first_block_ = b;
-      last_block_ = b + 1;
-    }
-  }
-  span_ = svmdata::BlockRange{block_of(first_block_).begin, block_of(last_block_ - 1).end};
-
+      sync_payload_bytes_(metrics_.counter("pbm.sync_payload_bytes")) {
   alpha_.assign(n_, 0.0);
   gamma_.resize(span_.size());
   for (std::size_t i = 0; i < span_.size(); ++i)
@@ -124,7 +117,6 @@ void PbmSolver::maybe_restore() {
   beta_up_ = c->beta_up;
   beta_low_ = c->beta_low;
   last_checkpoint_round_ = round_;
-  restored_ = true;
   svmobs::trace_instant("checkpoint_restore", "ckpt");
 }
 
@@ -241,7 +233,7 @@ void PbmSolver::apply_cross_block_deltas(const std::vector<std::uint32_t>& chang
   }
 }
 
-void PbmSolver::sync_dense(const std::vector<double>& previous_alpha) {
+void PbmSolver::sync_alpha(const std::vector<double>& previous_alpha) {
   // The inner solver only writes this rank's assigned span, and spans tile
   // [0, n) contiguously in rank order (blocks are owned by the rank that
   // owns their start index), so the round's new global alpha is exactly the
@@ -257,7 +249,7 @@ void PbmSolver::sync_dense(const std::vector<double>& previous_alpha) {
     std::copy(slice.begin(), slice.end(), alpha_.begin() + static_cast<std::ptrdiff_t>(at));
     at += slice.size();
   }
-  if (at != n_) throw std::runtime_error("PbmSolver: dense sync slices do not tile alpha");
+  if (at != n_) throw std::runtime_error("PbmSolver: sync slices do not tile alpha");
 
   changed_.clear();
   delta_.assign(n_, 0.0);
@@ -268,92 +260,6 @@ void PbmSolver::sync_dense(const std::vector<double>& previous_alpha) {
     }
   }
   apply_cross_block_deltas(changed_, delta_);
-}
-
-void PbmSolver::sync_sparse(const std::vector<double>& previous_alpha) {
-  // The changed samples circulate the ring exactly like PR 4's pipelined
-  // reconstruction: step k posts the next exchange before computing on the
-  // current block, and the overlap is credited max(compute, comm). Each
-  // step's samples update gamma via one eval_block_rows per assigned block;
-  // grouping by source rank makes this path partition-DEPENDENT (like the
-  // SMO reconstruction ring) — dense is the mode recovery tests pin.
-  PackedSamples mine;
-  for (std::size_t g = span_.begin; g < span_.end; ++g)
-    if (alpha_[g] != previous_alpha[g])
-      mine.add(static_cast<std::int64_t>(g), data_.y[g], alpha_[g], engine_.sq_norm(g),
-               data_.X.row(g));
-
-  const int p = comm_.size();
-  const int to = (comm_.rank() + 1) % p;
-  const int from = (comm_.rank() - 1 + p) % p;
-  svmobs::Gauge& comm_s_gauge = metrics_.gauge("pbm.ring_comm_s");
-  svmobs::Gauge& overlapped_s_gauge = metrics_.gauge("pbm.ring_overlapped_s");
-
-  std::vector<std::byte> circulating;
-  std::vector<std::byte> incoming;
-  mine.pack_into(circulating);
-  PackedSamples block;
-
-  std::vector<std::span<const svmdata::Feature>> rows;
-  std::vector<double> sq_norms;
-  std::vector<double> coeffs;
-  std::vector<std::uint32_t> targets;
-
-  for (int step = 0; step < p; ++step) {
-    svmobs::TraceSpan step_span("pbm_ring_step", "pbm");
-    const bool exchanging = step + 1 < p;
-    svmmpi::Request recv_req;
-    svmmpi::Request send_req;
-    double comm_before = 0.0;
-    if (exchanging) {
-      comm_before = comm_.traffic().modeled_seconds;
-      recv_req = comm_.irecv_into(incoming, from, kTagPbmRing);
-      send_req = comm_.isend(std::span<const std::byte>(circulating), to, kTagPbmRing);
-    }
-
-    const PackedSamples* b = &mine;
-    if (step != 0) {
-      PackedSamples::unpack_into(circulating, block);
-      b = &block;
-    }
-    svmutil::Timer compute_timer;
-    for (int ab = first_block_; ab < last_block_; ++ab) {
-      const svmdata::BlockRange blk = block_of(ab);
-      rows.clear();
-      sq_norms.clear();
-      coeffs.clear();
-      for (std::size_t j = 0; j < b->size(); ++j) {
-        const auto g = static_cast<std::size_t>(b->global_index(j));
-        if (blk.contains(g)) continue;  // inner solver already applied these
-        rows.push_back(b->row(j));
-        sq_norms.push_back(b->sq_norm(j));
-        coeffs.push_back(b->y(j) * (b->alpha(j) - previous_alpha[g]));
-      }
-      if (rows.empty()) continue;
-      targets.resize(blk.size());
-      for (std::size_t i = 0; i < blk.size(); ++i) targets[i] = static_cast<std::uint32_t>(i);
-      engine_.eval_block_rows(rows, sq_norms, coeffs, targets, blk.begin,
-                              std::span<double>(dgamma_.data() + (blk.begin - span_.begin),
-                                                blk.size()),
-                              config_.openmp_gamma);
-    }
-    // Adopt the circulated alphas into the replica (own block already holds
-    // them; remote blocks carry the sender's authoritative new values).
-    if (step != 0)
-      for (std::size_t j = 0; j < b->size(); ++j)
-        alpha_[static_cast<std::size_t>(b->global_index(j))] = b->alpha(j);
-    const double compute_s = compute_timer.seconds();
-
-    if (exchanging) {
-      svmobs::TraceSpan wait_span("pbm_ring_wait", "pbm");
-      recv_req.wait();
-      send_req.wait();
-      const double comm_s = comm_.traffic().modeled_seconds - comm_before;
-      comm_s_gauge.add(comm_s);
-      overlapped_s_gauge.add(comm_.credit_overlap(compute_s, comm_s));
-      circulating.swap(incoming);
-    }
-  }
 }
 
 void PbmSolver::record_round_obs(double wall_s, double compute_s, double wait_s) {
@@ -384,9 +290,6 @@ bool PbmSolver::run_round() {
   gamma_prev_.assign(gamma_.begin(), gamma_.end());
   dgamma_.assign(span_.size(), 0.0);
   const double tolerance = 2.0 * config_.params.eps;
-  const std::uint64_t inner_cap = config_.params.pbm_inner_iterations > 0
-                                      ? config_.params.pbm_inner_iterations
-                                      : config_.params.max_iterations;
 
   {
     svmobs::TraceSpan solve_span("pbm_block_solve", "pbm");
@@ -397,17 +300,16 @@ bool PbmSolver::run_round() {
           data_, config_.params, engine_, blk.begin, blk.end,
           std::span<double>(alpha_.data() + blk.begin, blk.size()),
           std::span<double>(gamma_.data() + (blk.begin - span_.begin), blk.size()), tolerance,
-          inner_cap);
+          config_.params.max_iterations);
       inner_iterations_.add(r.iterations);
     }
     compute_s = compute_timer.seconds();
   }
 
-  // Delta census: one small control allreduce carries the global changed
-  // count, the estimated sparse payload and the changed-BLOCK count, so
-  // every rank picks the same wire encoding (and knows whether anything
-  // moved at all, and whether a line search is needed) deterministically.
-  std::int64_t census[3] = {0, 0, 0};
+  // Delta census: one 16-byte control allreduce carries the global changed
+  // count and the changed-BLOCK count, so every rank knows whether anything
+  // moved at all and whether a line search is needed.
+  std::int64_t census[2] = {0, 0};
   for (int b = first_block_; b < last_block_; ++b) {
     const svmdata::BlockRange blk = block_of(b);
     bool block_changed = false;
@@ -415,15 +317,13 @@ bool PbmSolver::run_round() {
       if (alpha_[g] != previous_alpha[g]) {
         block_changed = true;
         ++census[0];
-        census[1] += static_cast<std::int64_t>(
-            4 * sizeof(double) + data_.X.row(g).size() * sizeof(svmdata::Feature));
       }
     }
-    if (block_changed) ++census[2];
+    if (block_changed) ++census[1];
   }
   svmutil::Timer census_timer;
   const std::vector<std::int64_t> global =
-      comm_.allreduce(std::span<const std::int64_t>(census, 3), svmmpi::ReduceOp::sum);
+      comm_.allreduce(std::span<const std::int64_t>(census, 2), svmmpi::ReduceOp::sum);
   wait_s += census_timer.seconds();
   delta_nnz_.add(static_cast<std::uint64_t>(global[0]));
   if (global[0] == 0) {  // nothing moved: caller escalates to polishing
@@ -431,30 +331,12 @@ bool PbmSolver::run_round() {
     return false;
   }
 
-  PbmDeltaEncoding encoding = config_.params.pbm_delta;
-  if (encoding == PbmDeltaEncoding::auto_select) {
-    // Dense is an allgatherv of the owned spans: ~8n/p injected bytes per
-    // rank. The ring forwards every changed sample's packet once per rank,
-    // ~global[1] bytes per rank. Both estimates are built from globals, so
-    // the choice is replica-consistent.
-    encoding = static_cast<std::uint64_t>(global[1]) <
-                       8 * n_ / static_cast<std::size_t>(comm_.size())
-                   ? PbmDeltaEncoding::sparse
-                   : PbmDeltaEncoding::dense;
-  }
   {
     svmobs::TraceSpan sync_span("pbm_sync", "pbm");
     svmutil::Timer sync_timer;
     const double sync_before = comm_.traffic().modeled_seconds;
-    if (encoding == PbmDeltaEncoding::sparse) {
-      sparse_rounds_.add();
-      sync_payload_bytes_.add(static_cast<std::uint64_t>(global[1]));
-      sync_sparse(previous_alpha);
-    } else {
-      dense_rounds_.add();
-      sync_payload_bytes_.add(8 * n_);
-      sync_dense(previous_alpha);
-    }
+    sync_payload_bytes_.add(8 * n_);
+    sync_alpha(previous_alpha);
     metrics_.gauge("pbm.sync_s").add(comm_.traffic().modeled_seconds - sync_before);
     wait_s += sync_timer.seconds();
   }
@@ -466,7 +348,7 @@ bool PbmSolver::run_round() {
   // skipping the search there keeps the B = 1 trajectory bitwise the
   // sequential solver's.
   double t = 1.0;
-  if (global[2] > 1) {
+  if (global[1] > 1) {
     svmutil::Timer search_timer;
     t = line_search(previous_alpha);
     wait_s += search_timer.seconds();
@@ -659,7 +541,7 @@ RankResult PbmSolver::solve() {
       converged_ = true;
       break;
     }
-    if (round_ >= config_.params.pbm_max_rounds) break;
+    if (round_ >= kMaxRounds) break;
     maybe_checkpoint();
 
     const bool moved = run_round();

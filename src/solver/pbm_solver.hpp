@@ -6,14 +6,13 @@
 // (O(iterations) small messages), PBM partitions the dual variables into B
 // fixed blocks, re-solves each block's subproblem locally with the
 // sequential SMO as the inner solver (warm-started from the previous
-// round's alpha), and synchronizes ONE compressed alpha-delta per outer
-// round. Per-round communication is a single allgatherv of the owned alpha
-// slices (dense encoding, ~8n/p injected bytes per rank) or one pipelined
-// ring pass of the changed samples (sparse encoding) — the paper's
-// per-iteration broadcast pattern disappears entirely.
+// round's alpha), and synchronizes alpha ONCE per outer round: a 16-byte
+// census allreduce, then a single allgatherv of the owned alpha slices
+// (~8n/p injected bytes per rank) — the paper's per-iteration broadcast
+// pattern disappears entirely.
 //
 // State layout: the full alpha vector is REPLICATED on every rank (the
-// dense sync keeps the replicas exactly equal: the inner solver only writes
+// sync keeps the replicas exactly equal: the inner solver only writes
 // its own span, and the spans tile [0, n) in rank order, so concatenating
 // the gathered slices reconstructs the identical vector everywhere). The
 // gradient gamma is partitioned: each rank maintains it over the contiguous
@@ -36,11 +35,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/distributed_solver.hpp"
-#include "core/sample_block.hpp"
 #include "core/types.hpp"
 #include "data/split.hpp"
 #include "data/sparse.hpp"
@@ -61,6 +60,10 @@ class PbmSolver {
   [[nodiscard]] RankResult solve();
 
  private:
+  /// `assigned` is this rank's block run [first, last).
+  PbmSolver(svmmpi::Comm& comm, const svmdata::Dataset& dataset, const DistributedConfig& config,
+            std::pair<int, int> assigned);
+
   /// Re-solves every assigned block (warm-started), synchronizes the
   /// round's combined alpha direction D, and commits alpha + t*D where t is
   /// the exact line-search step (see line_search) — the paper's guard
@@ -68,15 +71,10 @@ class PbmSolver {
   /// alpha moved; a false return escalates to cross-block polishing.
   bool run_round();
 
-  /// Dense delta sync: one allgatherv of each rank's owned alpha slice,
-  /// concatenated in rank order (spans tile [0, n)).
-  /// Accumulates the cross-block gamma direction into dgamma_.
-  void sync_dense(const std::vector<double>& previous_alpha);
-
-  /// Sparse delta sync: the changed samples circulate the pipelined
-  /// Isend/Irecv ring (the PR 4 pattern), each step feeding one
-  /// eval_block_rows call per assigned block into dgamma_.
-  void sync_sparse(const std::vector<double>& previous_alpha);
+  /// Alpha sync: one allgatherv of each rank's owned alpha slice,
+  /// concatenated in rank order (spans tile [0, n)). Accumulates the
+  /// cross-block gamma direction into dgamma_.
+  void sync_alpha(const std::vector<double>& previous_alpha);
 
   /// Accumulates Sum_j y_j*delta_j*K(j, i) into dgamma_ over every assigned
   /// block, excluding each block's own rows (the inner solver's own-block
@@ -121,9 +119,6 @@ class PbmSolver {
   [[nodiscard]] svmdata::BlockRange block_of(int b) const {
     return svmdata::block_range(n_, blocks_, b);
   }
-  [[nodiscard]] std::size_t local_of(std::size_t global) const noexcept {
-    return global - span_.begin;
-  }
 
   svmmpi::Comm& comm_;
   const svmdata::Dataset& data_;
@@ -148,7 +143,6 @@ class PbmSolver {
 
   std::uint64_t round_ = 0;
   std::uint64_t last_checkpoint_round_ = ~0ULL;
-  bool restored_ = false;
 
   // Round scratch, reused so the steady state allocates nothing.
   std::vector<std::uint32_t> changed_;
@@ -165,8 +159,6 @@ class PbmSolver {
   svmobs::Counter& polish_iterations_;
   svmobs::Counter& delta_nnz_;
   svmobs::Counter& sync_payload_bytes_;
-  svmobs::Counter& dense_rounds_;
-  svmobs::Counter& sparse_rounds_;
 
   SolverStats stats_;
 };

@@ -641,6 +641,36 @@ TEST(ElasticShrinkRecovery, ShrinkThenRestartWithoutCheckpointsEscalates) {
   expect_same_model(out, baseline, /*tolerance=*/0.0);
 }
 
+TEST(ElasticShrinkRecovery, SpentShrinkBudgetRestartsWithoutTheDeadRanksMemory) {
+  const Dataset d = chaos_dataset();
+  const SolverParams params = rbf_params();
+  TrainOptions options = ranks4(Heuristic::best());
+  options.net_model.timeout_s = 5.0;
+
+  const TrainResult baseline = svmcore::train(d, params, options);
+  const std::uint64_t total_ops = probe_ops(d, params, options, /*rank=*/1);
+
+  // max_shrinks = 0: the first permanent loss escalates to a full-world
+  // relaunch even under shrink_world. The dead rank's RAM is gone for that
+  // relaunch too, so on a memory-only store the cold world replays from
+  // scratch, exactly as restart_world does on the same failure.
+  RecoveryOptions recovery;
+  recovery.fault_plan = FaultPlan{}.die(1, total_ops / 2);
+  recovery.policy = RecoveryPolicy::shrink_world;
+  recovery.checkpoint_interval = 32;
+  recovery.max_shrinks = 0;
+  RecoveryReport report;
+  const TrainResult out = svmcore::train_with_recovery(d, params, options, recovery, &report);
+
+  EXPECT_EQ(report.restarts, 1);
+  EXPECT_EQ(report.shrinks, 0);
+  EXPECT_EQ(report.ranks_lost, std::vector<int>{1});
+  ASSERT_EQ(report.restore_epochs.size(), 1u);
+  EXPECT_EQ(report.restore_epochs[0], 0u)
+      << "a cold replacement rank cannot read the dead rank's RAM";
+  expect_same_model(out, baseline, /*tolerance=*/0.0);
+}
+
 TEST(ElasticShrinkRecovery, ShrinkPolicyRequiresDeadlineDetection) {
   const Dataset d = chaos_dataset();
   RecoveryOptions recovery;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,11 @@ struct Case {
   EngineBackend backend;
 };
 
+// Names each case by meaning in test names and failure messages.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << to_string(c.type) << "_" << to_string(c.backend);
+}
+
 class EngineHandComputedP : public ::testing::TestWithParam<Case> {};
 
 TEST_P(EngineHandComputedP, PairRowsMatchHandComputedValues) {
@@ -127,9 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{KernelType::polynomial, EngineBackend::dense_scatter},
                       Case{KernelType::sigmoid, EngineBackend::reference},
                       Case{KernelType::sigmoid, EngineBackend::dense_scatter}),
-    [](const auto& param_info) {
-      return to_string(param_info.param.type) + "_" + to_string(param_info.param.backend);
-    });
+    ::testing::PrintToStringParamName());
 
 // --- bitwise backend parity on realistic data -------------------------------
 

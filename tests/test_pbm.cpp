@@ -2,7 +2,7 @@
 //  - degenerate case (1 rank, 1 block) reproduces the sequential SMO bitwise
 //  - the trained model reaches the same optimality gap as SMO
 //  - warm-started rounds are deterministic (bitwise re-runnable) and the
-//    model is partition-independent across rank counts (dense encoding)
+//    model is partition-independent across rank counts
 //  - alpha-beta comm-volume accounting: each rank's TrafficStats
 //    bytes_collective matches the hand-computed payload formula of the PBM
 //    collective schedule at p = 2 and p = 4
@@ -120,35 +120,6 @@ TEST(PbmSolver, DenseEncodingIsPartitionIndependent) {
   }
 }
 
-TEST(PbmSolver, SparseEncodingMatchesDenseModel) {
-  const Dataset d = pbm_dataset();
-  SolverParams dense = pbm_params();
-  dense.pbm_delta = svmcore::PbmDeltaEncoding::dense;
-  SolverParams sparse = pbm_params();
-  sparse.pbm_delta = svmcore::PbmDeltaEncoding::sparse;
-  const TrainResult a = svmcore::train(d, dense, ranks(4));
-  const TrainResult b = svmcore::train(d, sparse, ranks(4));
-  // The ring regroups the cross-block sums by source rank, which perturbs
-  // the line-search step and lets the trajectories drift apart — the sparse
-  // run must still be a solution of the SAME quality (identical termination
-  // criterion, feasible alpha) and land on a nearby model.
-  EXPECT_TRUE(b.converged);
-  const auto kkt = svmcore::kkt_report(d, b.alpha, sparse);
-  EXPECT_LE(kkt.gap, 2.0 * sparse.eps + 1e-9);
-  EXPECT_EQ(kkt.max_alpha_bound_violation, 0.0);
-  EXPECT_LT(kkt.equality_residual, 1e-9);
-  // Equal-quality duals can differ along near-flat directions, so compare
-  // the PRIMAL objects the solver actually guarantees: the threshold and the
-  // decision function over the training points.
-  EXPECT_NEAR(a.beta, b.beta, 1e-2);
-  for (std::size_t i = 0; i < d.size(); ++i)
-    EXPECT_NEAR(a.model.decision_value(d.X.row(i)), b.model.decision_value(d.X.row(i)), 5e-2)
-        << "sample " << i;
-  // Sparse rounds must actually have exercised the ring.
-  EXPECT_GT(rank_counter(b, 0, "pbm.sparse_rounds"), 0u);
-  EXPECT_EQ(rank_counter(b, 0, "pbm.dense_rounds"), 0u);
-}
-
 TEST(PbmSolver, RejectsFewerBlocksThanRanks) {
   const Dataset d = pbm_dataset();
   SolverParams params = pbm_params();
@@ -164,20 +135,22 @@ TEST_P(PbmCommVolume, BytesCollectiveMatchesHandComputedSchedule) {
   const int p = GetParam();
   const Dataset d = pbm_dataset();
   const std::size_t n = d.size();
-  const SolverParams params = pbm_params();  // dense deltas, B = p
+  const SolverParams params = pbm_params();  // B = p
   const TrainResult result = svmcore::train(d, params, ranks(p));
   ASSERT_TRUE(result.converged);
 
   for (int r = 0; r < p; ++r) {
     const svmmpi::TrafficStats& t = result.rank_traffic[r];
     const std::uint64_t rounds = rank_counter(result, r, "pbm.rounds");
-    const std::uint64_t dense = rank_counter(result, r, "pbm.dense_rounds");
+    // Every round that moved alpha syncs it once and bills 8n payload bytes.
+    const std::uint64_t payload = rank_counter(result, r, "pbm.sync_payload_bytes");
+    ASSERT_EQ(payload % (8 * n), 0u);
+    const std::uint64_t syncs = payload / (8 * n);
     const std::uint64_t searches = rank_counter(result, r, "pbm.line_search_rounds");
-    ASSERT_EQ(rank_counter(result, r, "pbm.sparse_rounds"), 0u);
 
     // PBM's collective schedule, per rank: one class-presence allreduce
-    // (2 int64 = 16 B), one 24 B census allreduce per round, one dense
-    // delta allgatherv per dense round charging each rank its OWN span's
+    // (2 int64 = 16 B), one 16 B census allreduce per round, one alpha
+    // allgatherv per sync round charging each rank its OWN span's
     // 8 bytes/entry (spans tile [0, n), so the whole round moves 8n total
     // across ranks, not 8n per rank), one line-search allreduce of
     // 2 doubles per block (16 B per block) per multi-block round, one
@@ -185,8 +158,8 @@ TEST_P(PbmCommVolume, BytesCollectiveMatchesHandComputedSchedule) {
     // MINLOC/MAXLOC collectives per bounds refresh (loop tops + polish
     // steps). Recover the refresh count from the collective COUNT, then
     // check the BYTES identity:
-    //   collectives = 1 + rounds + dense + searches + 1 + 2 * refreshes
-    const std::uint64_t fixed = 2 + rounds + dense + searches;
+    //   collectives = 1 + rounds + syncs + searches + 1 + 2 * refreshes
+    const std::uint64_t fixed = 2 + rounds + syncs + searches;
     ASSERT_GE(t.collectives, fixed);
     ASSERT_EQ((t.collectives - fixed) % 2, 0u);
     const std::uint64_t refreshes = (t.collectives - fixed) / 2;
@@ -195,14 +168,14 @@ TEST_P(PbmCommVolume, BytesCollectiveMatchesHandComputedSchedule) {
     // B = p puts exactly one block on each rank: rank r's span is block r.
     const std::uint64_t span = svmdata::block_range(n, p, r).size();
     const std::uint64_t expected_bytes = 16 +                // class presence
-                                         24 * rounds +       // delta census
-                                         8 * span * dense +  // own dense slice
+                                         16 * rounds +       // delta census
+                                         8 * span * syncs +  // own alpha slice
                                          16 * blocks * searches +  // line-search slots
                                          16 * blocks +             // beta slots
                                          32 * refreshes;           // minloc + maxloc
     EXPECT_EQ(t.bytes_collective, expected_bytes) << "rank " << r;
-    // PBM never moves samples point-to-point in dense mode (no per-iteration
-    // broadcast pattern): pt2pt volume must be exactly zero.
+    // PBM never moves samples point-to-point (no per-iteration broadcast
+    // pattern): pt2pt volume must be exactly zero.
     EXPECT_EQ(t.bytes_sent, 0u) << "rank " << r;
   }
   // The schedule is SPMD-identical and p divides n here, so the spans are
