@@ -113,8 +113,8 @@ void print_paper_scale_table() {
     std::snprintf(buffer, sizeof(buffer), "%.2f us", seconds * 1e6);
     table.add_row({op, payload, svmutil::TextTable::integer(p), buffer});
   };
-  row("pt2pt (x_up to rank0)", "1 sample ~ 1KB", 2, model.pt2pt(1024));
-  row("bcast (x_up/x_low)", "1 sample ~ 1KB", 4096, model.tree(1024, 4096));
+  row("pair allreduce (MINLOC/MAXLOC + x_up/x_low)", "2 samples ~ 2KB", 4096,
+      model.tree(2048, 4096));
   row("allreduce (beta)", "16 B", 4096, model.tree(16, 4096));
   row("ring step (Algorithm 3)", "N/p samples ~ 5MB", 4096, model.ring_step(5 << 20));
   std::printf("alpha-beta model predictions at paper scale (l=%.1e s, G=%.1e s/B):\n\n",

@@ -43,9 +43,9 @@ int usage(const char* program) {
       "  %s train    <data> <model-out> [--c C] [--sigma-sq S] [--gamma G] [--eps E]\n"
       "              [--ranks P] [--heuristic H] [--kernel K] [--baseline]\n"
       "              [--solver smo|pbm]      (pbm = parallel block minimization:\n"
-      "               one delta sync per outer round instead of per-iteration\n"
-      "               broadcasts; [--pbm-blocks B] fixes the block count, default\n"
-      "               = ranks)\n"
+      "               one delta sync per outer round instead of a pair\n"
+      "               allreduce per iteration; [--pbm-blocks B] fixes the block\n"
+      "               count, default = ranks)\n"
       "              [--w-pos W] [--w-neg W]\n"
       "              [--engine-flavor f64|f32|f16|i8]   (--baseline only: the\n"
       "               precision of its cached Q rows)\n"

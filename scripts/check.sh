@@ -5,7 +5,7 @@
 #   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos tests, werror, obs
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
 #   scripts/check.sh --contention  # only the full ctest suite, twice, on an oversubscribed host
-#   scripts/check.sh --asan     # only the ASan kernel/engine/cache tests
+#   scripts/check.sh --asan     # only the ASan kernel/engine/cache + collective tests
 #   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs tests
 #   scripts/check.sh --werror   # only the warnings-as-errors build of every target
 #   scripts/check.sh --obs      # only the observability end-to-end checks
@@ -23,7 +23,9 @@
 # The ASan pass rebuilds the kernel-layer tests under -DSVM_SANITIZE=address
 # in a separate build tree (build-asan/) and runs the binaries directly; it
 # exists to catch span-lifetime bugs in KernelRowCache pinning and the
-# KernelEngine scatter buffers that a plain run cannot see.
+# KernelEngine scatter buffers that a plain run cannot see. It also runs the
+# collective tests, whose malformed-contribution cases must be rejected
+# before the combine reads past a buffer.
 #
 # The TSan pass rebuilds under -DSVM_SANITIZE=thread (build-tsan/) and runs
 # the `chaos`- and `obs`-labelled ctest suites: the fault-injection,
@@ -132,11 +134,12 @@ if $run_contention; then
 fi
 
 if $run_asan; then
-  echo "=== asan: kernel/engine/cache tests under -fsanitize=address ==="
+  echo "=== asan: kernel/engine/cache + collective tests under -fsanitize=address ==="
   cmake -B build-asan -S . -DSVM_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target \
-    test_kernel test_kernel_cache test_kernel_engine test_engine_parity
-  for t in test_kernel test_kernel_cache test_kernel_engine test_engine_parity; do
+    test_kernel test_kernel_cache test_kernel_engine test_engine_parity test_mpisim_collectives
+  for t in test_kernel test_kernel_cache test_kernel_engine test_engine_parity \
+      test_mpisim_collectives; do
     echo "--- $t (asan) ---"
     ./build-asan/tests/"$t"
   done
@@ -166,11 +169,12 @@ if $run_obs; then
   trap 'rm -rf "$obs_dir"' EXIT
   # A p=4 traced run must produce a Chrome trace with spans from all four
   # layers (mpisim collective, kernel-engine batch, solver phase,
-  # reconstruction ring step) and at least two counter tracks.
+  # reconstruction ring step) and at least two counter tracks. The SMO
+  # iteration's one collective is the pair allreduce (allreduce_minmaxloc).
   ./build/examples/parallel_training --ranks 4 --n 800 \
     --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json"
   ./build/tools/trace_validate "$obs_dir/trace.json" \
-    --require-span solve,phase,smo_batch,allreduce,bcast,engine_pair_batch,ring_step,reconstruction \
+    --require-span solve,phase,smo_batch,allreduce,allreduce_minmaxloc,engine_pair_batch,ring_step,reconstruction \
     --min-counter-tracks 2
   ./build/tools/trace_validate --metrics "$obs_dir/metrics.json"
   # A bench's run report must validate too (active-set trajectory bench).

@@ -12,7 +12,8 @@
 namespace svmcore {
 
 namespace {
-constexpr int kTagSampleToRoot = 11;  ///< owner -> rank 0 (Algorithm 2 lines 4-9)
+/// Selection key index of a side with no candidate (sorts after every sample).
+constexpr std::int64_t kNoSample = std::numeric_limits<std::int64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // One "smo_batch" trace span per this many SMO iterations: batches keep the
 // timeline readable (and the ring buffer roomy) where per-iteration spans
@@ -113,8 +114,8 @@ void DistributedSolver::maybe_checkpoint() {
 }
 
 void DistributedSolver::select_violators() {
-  svmmpi::DoubleInt up{kInf, std::numeric_limits<std::int64_t>::max()};
-  svmmpi::DoubleInt low{-kInf, std::numeric_limits<std::int64_t>::max()};
+  svmmpi::DoubleInt up{kInf, kNoSample};
+  svmmpi::DoubleInt low{-kInf, kNoSample};
   for (const std::uint32_t i : active_) {
     const std::size_t g = range_.begin + i;
     const IndexSet set = classify(data_.y[g], alpha_[i], config_.params.C_of(data_.y[g]));
@@ -123,74 +124,33 @@ void DistributedSolver::select_violators() {
     if (in_low_set(set) && gamma_[i] > low.value)
       low = svmmpi::DoubleInt{gamma_[i], static_cast<std::int64_t>(g)};
   }
-  const svmmpi::DoubleInt global_up = comm_.allreduce_minloc(up);
-  const svmmpi::DoubleInt global_low = comm_.allreduce_maxloc(low);
-  beta_up_ = global_up.value;
-  beta_low_ = global_low.value;
-  i_up_ = global_up.index;
-  i_low_ = global_low.index;
+  // Algorithm 2's selection and its x_up/x_low fetch in one rendezvous: each
+  // local winner rides inside the MINLOC/MAXLOC reduction as a one-sample
+  // PackedSamples payload, so the global winners arrive with their samples.
+  pack_local_sample(up.index, up_bytes_);
+  pack_local_sample(low.index, low_bytes_);
+  const svmmpi::MinMaxLoc winners = comm_.allreduce_minmaxloc(up, up_bytes_, low, low_bytes_);
+  beta_up_ = winners.min.key.value;
+  beta_low_ = winners.max.key.value;
+  i_up_ = winners.min.key.index;
+  i_low_ = winners.max.key.index;
+  if (i_up_ != kNoSample) PackedSamples::unpack_into(winners.min.payload, up_sample_);
+  if (i_low_ != kNoSample) PackedSamples::unpack_into(winners.max.payload, low_sample_);
   stats_.final_beta_up = beta_up_;
   stats_.final_beta_low = beta_low_;
   // The convergence gap as a counter track: rank 0 only, since the value is
-  // identical on every rank after the Allreduce pair.
+  // identical on every rank after the reduction.
   if (comm_.rank() == 0) svmobs::trace_counter("gap", beta_low_ - beta_up_);
 }
 
-void DistributedSolver::pack_local_sample(PackedSamples& out, std::int64_t global) {
-  const std::size_t i = local_of(global);
+void DistributedSolver::pack_local_sample(std::int64_t global, std::vector<std::byte>& out) {
+  out.clear();
+  if (global == kNoSample) return;
   const auto g = static_cast<std::size_t>(global);
-  out.add(global, data_.y[g], alpha_[i], engine_.sq_norm(g), data_.X.row(g));
-}
-
-PackedSamples DistributedSolver::fetch_pair(std::int64_t g_up, std::int64_t g_low) {
-  const int owner_up = svmdata::owner_of(data_.size(), comm_.size(), g_up);
-  const int owner_low = svmdata::owner_of(data_.size(), comm_.size(), g_low);
-  const int rank = comm_.rank();
-
-  // Owners ship their contribution(s) to rank 0 — one message per owning
-  // rank, both samples in one message when a single rank owns the pair.
-  if (rank != 0) {
-    if (rank == owner_up && rank == owner_low) {
-      PackedSamples both;
-      pack_local_sample(both, g_up);
-      pack_local_sample(both, g_low);
-      comm_.send<std::byte>(both.pack(), 0, kTagSampleToRoot);
-    } else if (rank == owner_up || rank == owner_low) {
-      PackedSamples one;
-      pack_local_sample(one, rank == owner_up ? g_up : g_low);
-      comm_.send<std::byte>(one.pack(), 0, kTagSampleToRoot);
-    }
-  }
-
-  // Rank 0 merges in fixed (up, low) order, then ONE Bcast replaces the two
-  // broadcasts of the unbatched protocol.
-  std::vector<std::byte> bytes;
-  if (rank == 0) {
-    PackedSamples pair;
-    if (owner_up == owner_low) {
-      if (owner_up == 0) {
-        pack_local_sample(pair, g_up);
-        pack_local_sample(pair, g_low);
-      } else {
-        pair = PackedSamples::unpack(comm_.recv<std::byte>(owner_up, kTagSampleToRoot));
-      }
-    } else {
-      auto append_from = [&](std::int64_t g, int owner) {
-        if (owner == 0) {
-          pack_local_sample(pair, g);
-        } else {
-          const PackedSamples one =
-              PackedSamples::unpack(comm_.recv<std::byte>(owner, kTagSampleToRoot));
-          pair.add(one.global_index(0), one.y(0), one.alpha(0), one.sq_norm(0), one.row(0));
-        }
-      };
-      append_from(g_up, owner_up);
-      append_from(g_low, owner_low);
-    }
-    bytes = pair.pack();
-  }
-  comm_.bcast(bytes, 0);
-  return PackedSamples::unpack(bytes);
+  candidate_.clear();
+  candidate_.add(global, data_.y[g], alpha_[local_of(global)], engine_.sq_norm(g),
+                 data_.X.row(g));
+  candidate_.pack_into(out);
 }
 
 DistributedSolver::PhaseExit DistributedSolver::phase_exit(PhaseExit exit) noexcept {
@@ -207,10 +167,10 @@ DistributedSolver::PhaseExit DistributedSolver::run_phase(double tolerance, bool
   svmobs::TraceRound round_marker("solver");
   svmobs::TraceSpan phase_span("phase", "solver");
   // Local round time split, published on every exit path (including faults):
-  // wait_s is real wall time inside the phase's communication ops
-  // (select_violators' reductions, fetch_pair's send + Bcast), compute_s the
-  // remainder. Proxies only — exact per-peer blocking comes from the trace
-  // flow events via tools/trace_analyze, with no extra communication here.
+  // wait_s is real wall time inside the phase's communication op
+  // (select_violators' pair allreduce), compute_s the remainder. Proxies
+  // only — exact per-peer blocking comes from the trace flow events via
+  // tools/trace_analyze, with no extra communication here.
   struct PhaseObs {
     explicit PhaseObs(svmobs::MetricsRegistry& m) : metrics(m) {}
     svmobs::MetricsRegistry& metrics;
@@ -250,8 +210,7 @@ DistributedSolver::PhaseExit DistributedSolver::run_phase(double tolerance, bool
       select_violators();
       obs.wait_s += wait_timer.seconds();
     }
-    if (i_up_ == std::numeric_limits<std::int64_t>::max() ||
-        i_low_ == std::numeric_limits<std::int64_t>::max()) {
+    if (i_up_ == kNoSample || i_low_ == kNoSample) {
       // Active set lost one side entirely; only reconstruction can help.
       return phase_exit(PhaseExit::converged);
     }
@@ -259,37 +218,33 @@ DistributedSolver::PhaseExit DistributedSolver::run_phase(double tolerance, bool
     if (iterations_.value() >= config_.params.max_iterations)
       return phase_exit(PhaseExit::iteration_cap);
 
-    // Both violators arrive in one message + one Bcast (sample 0 = up,
-    // sample 1 = low).
-    svmutil::Timer fetch_timer;
-    const PackedSamples pair = fetch_pair(i_up_, i_low_);
-    obs.wait_s += fetch_timer.seconds();
-    const auto x_up = pair.row(0);
-    const auto x_low = pair.row(1);
-    const double sq_up = pair.sq_norm(0);
-    const double sq_low = pair.sq_norm(1);
+    // select_violators delivered both samples with the pair.
+    const auto x_up = up_sample_.row(0);
+    const auto x_low = low_sample_.row(0);
+    const double sq_up = up_sample_.sq_norm(0);
+    const double sq_low = low_sample_.sq_norm(0);
 
     // The pair update (Eq. 6) is computed redundantly on every rank from the
-    // broadcast state, so all replicas agree bit-for-bit.
-    const PairState state{pair.y(0),
-                          pair.y(1),
-                          pair.alpha(0),
-                          pair.alpha(1),
+    // reduced state, so all replicas agree bit-for-bit.
+    const PairState state{up_sample_.y(0),
+                          low_sample_.y(0),
+                          up_sample_.alpha(0),
+                          low_sample_.alpha(0),
                           beta_up_,
                           beta_low_,
                           engine_.eval_one(x_up, x_up, sq_up, sq_up),
                           engine_.eval_one(x_low, x_low, sq_low, sq_low),
                           engine_.eval_one(x_up, x_low, sq_up, sq_low),
-                          config_.params.C_of(pair.y(0)),
-                          config_.params.C_of(pair.y(1))};
+                          config_.params.C_of(up_sample_.y(0)),
+                          config_.params.C_of(low_sample_.y(0))};
     const PairResult updated = solve_pair(state);
     if (!updated.progress) {
       SVM_LOG_WARN << "distributed solver: stalled pair at gap "
                    << (beta_low_ - beta_up_) << "; ending phase";
       return phase_exit(PhaseExit::stalled);
     }
-    const double delta_up = updated.alpha_up - pair.alpha(0);
-    const double delta_low = updated.alpha_low - pair.alpha(1);
+    const double delta_up = updated.alpha_up - up_sample_.alpha(0);
+    const double delta_low = updated.alpha_low - low_sample_.alpha(0);
     if (owns(i_up_)) alpha_[local_of(i_up_)] = updated.alpha_up;
     if (owns(i_low_)) alpha_[local_of(i_low_)] = updated.alpha_low;
 
@@ -306,8 +261,8 @@ DistributedSolver::PhaseExit DistributedSolver::run_phase(double tolerance, bool
     // former serial and OpenMP branches collapse here, and the OpenMP knob
     // now also accelerates shrink iterations (the kernel batch is
     // order-independent; only the compaction below is sequential).
-    const double coef_up = pair.y(0) * delta_up;
-    const double coef_low = pair.y(1) * delta_low;
+    const double coef_up = up_sample_.y(0) * delta_up;
+    const double coef_low = low_sample_.y(0) * delta_low;
     k_up_.resize(active_.size());
     k_low_.resize(active_.size());
     engine_.eval_pair_rows(x_up, sq_up, x_low, sq_low, active_, range_.begin, k_up_, k_low_,

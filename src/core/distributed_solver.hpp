@@ -7,13 +7,17 @@
 //
 // Data layout: every rank owns the contiguous block of samples given by
 // block_range(n, p, rank) and touches only those rows of the shared dataset
-// directly; remote samples arrive exclusively through messages (the
-// x_up/x_low broadcast and the reconstruction ring), preserving the paper's
-// communication pattern exactly. All ranks compute the pair update
-// redundantly from broadcast state, so solver state stays replica-consistent
-// without further synchronization.
+// directly; remote samples arrive exclusively through communication: the
+// per-iteration pair allreduce and the reconstruction ring. The pair
+// allreduce fuses Algorithm 2's MINLOC/MAXLOC selection with its x_up/x_low
+// send and broadcast: each rank's local candidates travel inside the
+// reduction and every rank gets the two winning samples back, one
+// rendezvous per iteration instead of three. All ranks compute the pair
+// update redundantly from the reduced state, so solver state stays
+// replica-consistent without further synchronization.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -91,17 +95,15 @@ class DistributedSolver {
   /// the global bounds. No-op (except bounds refresh) when nothing shrunk.
   void reconstruct_gradients();
 
-  /// Worst-violator selection over active samples + MINLOC/MAXLOC reduce.
+  /// Worst-violator selection over active samples and the one pair
+  /// allreduce (Comm::allreduce_minmaxloc) that returns both global winners
+  /// with their samples: sets beta_up_/beta_low_, i_up_/i_low_ and
+  /// up_sample_/low_sample_.
   void select_violators();
 
-  /// Violator fetch (Algorithm 2 lines 3-10): both pair samples travel
-  /// owner -> rank 0 in ONE PackedSamples message per owning rank and then
-  /// ONE Bcast (sample 0 = up, sample 1 = low), half the broadcasts of
-  /// fetching the two samples one at a time.
-  [[nodiscard]] PackedSamples fetch_pair(std::int64_t g_up, std::int64_t g_low);
-
-  /// Appends the locally-owned sample `global` to `out`.
-  void pack_local_sample(PackedSamples& out, std::int64_t global);
+  /// Packs the locally-owned sample `global` into `out` as a one-sample
+  /// PackedSamples block; leaves `out` empty when there is no candidate.
+  void pack_local_sample(std::int64_t global, std::vector<std::byte>& out);
 
   /// Records the global active-set size when tracing is enabled.
   void maybe_trace_active();
@@ -150,8 +152,15 @@ class DistributedSolver {
   std::vector<std::uint32_t> active_;  ///< local indices still in play
   std::vector<double> k_up_;   ///< per-iteration K(x_up, i) over active_
   std::vector<double> k_low_;  ///< per-iteration K(x_low, i) over active_
+  // Selection scratch, reused every iteration: the local candidate block,
+  // its packed bytes per side and the received winners (x_up, x_low).
+  PackedSamples candidate_;
+  std::vector<std::byte> up_bytes_;
+  std::vector<std::byte> low_bytes_;
+  PackedSamples up_sample_;
+  PackedSamples low_sample_;
 
-  // Global selection state, identical on every rank after each Allreduce.
+  // Global selection state, identical on every rank after each selection.
   double beta_up_ = 0.0;
   double beta_low_ = 0.0;
   std::int64_t i_up_ = -1;

@@ -1,8 +1,9 @@
-// Wire format for moving sample subsets between ranks: the x_up/x_low
-// broadcast in Algorithm 2 and the CSR ring exchange in Algorithm 3. A
-// PackedSamples block carries, per sample: global index, label, alpha,
-// squared norm and the sparse feature row. pack()/unpack() round-trip
-// through a flat byte buffer transported by the message-passing substrate.
+// Wire format for moving sample subsets between ranks: each rank's x_up and
+// x_low candidates in Algorithm 2's pair allreduce (one sample per side) and
+// the CSR ring exchange in Algorithm 3. A PackedSamples block carries, per
+// sample: global index, label, alpha, squared norm and the sparse feature
+// row. pack()/unpack() round-trip through a flat byte buffer transported by
+// the message-passing substrate.
 #pragma once
 
 #include <cstddef>

@@ -17,11 +17,11 @@
 namespace svmcore {
 
 /// Which distributed training algorithm drives the dual optimization.
-/// `smo` is the paper's shrinking-SMO (one working-set broadcast per
-/// iteration); `pbm` is Parallel Block Minimization (Hsieh, Si, Dhillon —
-/// arXiv:1608.02010): per-block subproblem re-solves with one allgatherv of
-/// the owned alpha slices per outer round, trading iterations for
-/// communication.
+/// `smo` is the paper's shrinking-SMO (one pair allreduce, carrying the
+/// working-set samples, per iteration); `pbm` is Parallel Block
+/// Minimization (Hsieh, Si, Dhillon — arXiv:1608.02010): per-block
+/// subproblem re-solves with one allgatherv of the owned alpha slices per
+/// outer round, trading iterations for communication.
 enum class SolverAlgo : std::uint8_t { smo, pbm };
 
 [[nodiscard]] inline const char* to_string(SolverAlgo algo) noexcept {

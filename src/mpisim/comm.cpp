@@ -253,13 +253,24 @@ namespace {
 
 // Rank-ordered loc-reductions: deterministic and index-tie-broken so the
 // distributed solvers select the identical working set as the sequential one.
-std::vector<std::byte> combine_minloc(const std::vector<std::vector<std::byte>>& parts) {
+// Every loc-combine below ranks candidates with these two comparators.
+bool minloc_beats(const DoubleInt& candidate, const DoubleInt& best) noexcept {
+  return candidate.value < best.value ||
+         (candidate.value == best.value && candidate.index < best.index);
+}
+
+bool maxloc_beats(const DoubleInt& candidate, const DoubleInt& best) noexcept {
+  return candidate.value > best.value ||
+         (candidate.value == best.value && candidate.index < best.index);
+}
+
+template <bool (*Beats)(const DoubleInt&, const DoubleInt&)>
+std::vector<std::byte> combine_loc(const std::vector<std::vector<std::byte>>& parts) {
   DoubleInt best{};
   bool first = true;
   for (const auto& p : parts) {
     const auto cand = detail::from_bytes<DoubleInt>(p)[0];
-    if (first || cand.value < best.value ||
-        (cand.value == best.value && cand.index < best.index)) {
+    if (first || Beats(cand, best)) {
       best = cand;
       first = false;
     }
@@ -267,32 +278,96 @@ std::vector<std::byte> combine_minloc(const std::vector<std::vector<std::byte>>&
   return detail::to_bytes(std::span<const DoubleInt>(&best, 1));
 }
 
-std::vector<std::byte> combine_maxloc(const std::vector<std::vector<std::byte>>& parts) {
-  DoubleInt best{};
-  bool first = true;
-  for (const auto& p : parts) {
-    const auto cand = detail::from_bytes<DoubleInt>(p)[0];
-    if (first || cand.value > best.value ||
-        (cand.value == best.value && cand.index < best.index)) {
-      best = cand;
-      first = false;
-    }
-  }
-  return detail::to_bytes(std::span<const DoubleInt>(&best, 1));
+/// A validated, non-owning view of one pack_minmaxloc buffer.
+struct MinMaxLocView {
+  DoubleInt min_key;
+  DoubleInt max_key;
+  std::span<const std::byte> min_payload;
+  std::span<const std::byte> max_payload;
+};
+
+constexpr std::size_t kMinMaxLocHeader = 2 * sizeof(DoubleInt) + 2 * sizeof(std::uint64_t);
+
+MinMaxLocView view_minmaxloc(std::span<const std::byte> bytes) {
+  if (bytes.size() < kMinMaxLocHeader)
+    throw std::runtime_error("svmmpi: malformed minmaxloc payload (truncated header)");
+  MinMaxLocView view;
+  std::uint64_t sizes[2] = {0, 0};
+  std::memcpy(&view.min_key, bytes.data(), sizeof(DoubleInt));
+  std::memcpy(&view.max_key, bytes.data() + sizeof(DoubleInt), sizeof(DoubleInt));
+  std::memcpy(sizes, bytes.data() + 2 * sizeof(DoubleInt), sizeof(sizes));
+  const std::span<const std::byte> body = bytes.subspan(kMinMaxLocHeader);
+  if (sizes[0] > body.size() || sizes[1] != body.size() - sizes[0])
+    throw std::runtime_error("svmmpi: malformed minmaxloc payload (sizes do not match length)");
+  view.min_payload = body.first(sizes[0]);
+  view.max_payload = body.subspan(sizes[0]);
+  return view;
 }
 
 }  // namespace
 
+std::vector<std::byte> detail::pack_minmaxloc(DoubleInt min_key,
+                                              std::span<const std::byte> min_payload,
+                                              DoubleInt max_key,
+                                              std::span<const std::byte> max_payload) {
+  std::vector<std::byte> out(kMinMaxLocHeader + min_payload.size() + max_payload.size());
+  const std::uint64_t sizes[2] = {min_payload.size(), max_payload.size()};
+  std::byte* at = out.data();
+  std::memcpy(at, &min_key, sizeof(DoubleInt));
+  std::memcpy(at + sizeof(DoubleInt), &max_key, sizeof(DoubleInt));
+  std::memcpy(at + 2 * sizeof(DoubleInt), sizes, sizeof(sizes));
+  at += kMinMaxLocHeader;
+  if (!min_payload.empty()) std::memcpy(at, min_payload.data(), min_payload.size());
+  if (!max_payload.empty())
+    std::memcpy(at + min_payload.size(), max_payload.data(), max_payload.size());
+  return out;
+}
+
+std::vector<std::byte> detail::combine_minmaxloc(
+    const std::vector<std::vector<std::byte>>& parts) {
+  MinMaxLocView best{};
+  bool first = true;
+  for (const auto& p : parts) {
+    const MinMaxLocView cand = view_minmaxloc(p);
+    if (first || minloc_beats(cand.min_key, best.min_key)) {
+      best.min_key = cand.min_key;
+      best.min_payload = cand.min_payload;
+    }
+    if (first || maxloc_beats(cand.max_key, best.max_key)) {
+      best.max_key = cand.max_key;
+      best.max_payload = cand.max_payload;
+    }
+    first = false;
+  }
+  return pack_minmaxloc(best.min_key, best.min_payload, best.max_key, best.max_payload);
+}
+
 DoubleInt Comm::allreduce_minloc(DoubleInt mine) {
-  auto out = collective(detail::to_bytes(std::span<const DoubleInt>(&mine, 1)), combine_minloc,
-                        ModelAs::tree, sizeof(DoubleInt), "allreduce_minloc");
+  auto out = collective(detail::to_bytes(std::span<const DoubleInt>(&mine, 1)),
+                        combine_loc<minloc_beats>, ModelAs::tree, sizeof(DoubleInt),
+                        "allreduce_minloc");
   return detail::from_bytes<DoubleInt>(out)[0];
 }
 
 DoubleInt Comm::allreduce_maxloc(DoubleInt mine) {
-  auto out = collective(detail::to_bytes(std::span<const DoubleInt>(&mine, 1)), combine_maxloc,
-                        ModelAs::tree, sizeof(DoubleInt), "allreduce_maxloc");
+  auto out = collective(detail::to_bytes(std::span<const DoubleInt>(&mine, 1)),
+                        combine_loc<maxloc_beats>, ModelAs::tree, sizeof(DoubleInt),
+                        "allreduce_maxloc");
   return detail::from_bytes<DoubleInt>(out)[0];
+}
+
+MinMaxLoc Comm::allreduce_minmaxloc(DoubleInt min_key, std::span<const std::byte> min_payload,
+                                    DoubleInt max_key, std::span<const std::byte> max_payload) {
+  std::vector<std::byte> mine =
+      detail::pack_minmaxloc(min_key, min_payload, max_key, max_payload);
+  const std::size_t payload_bytes = mine.size();  // this rank's injected bytes
+  const std::vector<std::byte> out = collective(std::move(mine), detail::combine_minmaxloc,
+                                                ModelAs::tree, payload_bytes,
+                                                "allreduce_minmaxloc");
+  const MinMaxLocView winners = view_minmaxloc(out);
+  return MinMaxLoc{
+      {winners.min_key, {winners.min_payload.begin(), winners.min_payload.end()}},
+      {winners.max_key, {winners.max_payload.begin(), winners.max_payload.end()}}};
 }
 
 std::vector<std::byte> detail::concat_with_sizes(

@@ -32,6 +32,20 @@ struct DoubleInt {
   std::int64_t index = -1;
 };
 
+/// One side of Comm::allreduce_minmaxloc: a MINLOC or MAXLOC key and the
+/// opaque bytes that travel with it.
+struct LocPayload {
+  DoubleInt key;
+  std::vector<std::byte> payload;
+};
+
+/// The MINLOC winner and the MAXLOC winner of Comm::allreduce_minmaxloc,
+/// each with the payload its rank contributed.
+struct MinMaxLoc {
+  LocPayload min;
+  LocPayload max;
+};
+
 namespace detail {
 
 template <typename T>
@@ -98,6 +112,20 @@ template <typename T>
   }
   return result;
 }
+
+/// Wire form of one allreduce_minmaxloc contribution, and of its result:
+/// [DoubleInt min][DoubleInt max][uint64 min size][uint64 max size]
+/// [min payload][max payload].
+[[nodiscard]] std::vector<std::byte> pack_minmaxloc(DoubleInt min_key,
+                                                    std::span<const std::byte> min_payload,
+                                                    DoubleInt max_key,
+                                                    std::span<const std::byte> max_payload);
+
+/// The combine step of allreduce_minmaxloc: keeps the MINLOC winner and the
+/// MAXLOC winner over the rank-ordered parts, each with its payload. Throws
+/// std::runtime_error when a part's sizes do not match its length.
+[[nodiscard]] std::vector<std::byte> combine_minmaxloc(
+    const std::vector<std::vector<std::byte>>& parts);
 
 }  // namespace detail
 
@@ -247,6 +275,18 @@ class Comm {
   [[nodiscard]] DoubleInt allreduce_minloc(DoubleInt mine);
   /// MAXLOC: largest value wins; value ties break toward the smaller index.
   [[nodiscard]] DoubleInt allreduce_maxloc(DoubleInt mine);
+
+  /// MINLOC and MAXLOC in one rendezvous, each winner carrying its payload:
+  /// every rank contributes a min-side and a max-side candidate, and every
+  /// rank gets back both global winners with the bytes their ranks passed.
+  /// Ties break as in allreduce_minloc/allreduce_maxloc. A rank with no
+  /// candidate on a side passes a sentinel key every real candidate beats
+  /// (value +inf for min, -inf for max) and an empty payload; when no rank
+  /// has one, the sentinel and an empty payload come back.
+  [[nodiscard]] MinMaxLoc allreduce_minmaxloc(DoubleInt min_key,
+                                              std::span<const std::byte> min_payload,
+                                              DoubleInt max_key,
+                                              std::span<const std::byte> max_payload);
 
   /// Gather one value from every rank; result indexed by rank.
   template <typename T>

@@ -2,14 +2,14 @@
 // second training algorithm beside shrinking-SMO (Hsieh, Si, Dhillon,
 // arXiv:1608.02010, with Glasmachers-style warm starts, arXiv:2207.01016).
 //
-// Where the distributed SMO broadcasts a working-set pair every iteration
-// (O(iterations) small messages), PBM partitions the dual variables into B
+// Where the distributed SMO reduces a working-set pair every iteration
+// (O(iterations) small collectives), PBM partitions the dual variables into B
 // fixed blocks, re-solves each block's subproblem locally with the
 // sequential SMO as the inner solver (warm-started from the previous
 // round's alpha), and synchronizes alpha ONCE per outer round: a 16-byte
 // census allreduce, then a single allgatherv of the owned alpha slices
-// (~8n/p injected bytes per rank) — the paper's per-iteration broadcast
-// pattern disappears entirely.
+// (~8n/p injected bytes per rank) — the per-iteration pair exchange
+// disappears entirely.
 //
 // State layout: the full alpha vector is REPLICATED on every rank (the
 // sync keeps the replicas exactly equal: the inner solver only writes

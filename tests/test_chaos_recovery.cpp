@@ -478,6 +478,44 @@ TEST(ChaosRecovery, SeededChaosScheduleStaysWithinTolerance) {
   expect_same_model(recovered, baseline, /*tolerance=*/1e-10);
 }
 
+TEST(ChaosRecovery, DroppedRingSendRecoversBitIdentically) {
+  const Dataset d = chaos_dataset();
+  const SolverParams params = rbf_params();
+  // The violating pair travels inside the selection allreduce, so the
+  // reconstruction ring is an SMO solve's only point-to-point traffic and a
+  // dropped send can only land there. Multi-reconstruction runs the ring
+  // at the end of every phase, the last one past the run's midpoint.
+  TrainOptions options = ranks4(Heuristic::best());
+  // The starved ring receiver and the peers waiting for it at the next
+  // selection rendezvous give up after the deadline: a TimeoutError the
+  // retry driver recovers from. A fault-free op never comes near 1 s.
+  options.net_model.timeout_s = 1.0;
+
+  const TrainResult baseline = svmcore::train(d, params, options);
+  ASSERT_GT(baseline.reconstructions, 0u);
+  // Every send of the solve is a ring exchange: p - 1 of each rank's p steps.
+  const auto ring_steps = static_cast<std::uint64_t>(baseline.metrics.value("recon.ring_steps"));
+  ASSERT_GT(ring_steps, 0u);
+  EXPECT_EQ(baseline.traffic.sends * 4, ring_steps * 3);
+  const std::uint64_t total_ops = probe_ops(d, params, options, /*rank=*/1);
+
+  RecoveryOptions recovery;
+  // Fires at rank 1's first send from mid-run on: a ring step.
+  recovery.fault_plan = FaultPlan{}.drop(1, total_ops / 2);
+  recovery.checkpoint_interval = 32;
+  RecoveryReport report;
+  const TrainResult recovered =
+      svmcore::train_with_recovery(d, params, options, recovery, &report);
+
+  EXPECT_EQ(report.restarts, 1) << "the dropped ring message must stall one attempt";
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_NE(report.failures[0].find("timed out"), std::string::npos) << report.failures[0];
+  ASSERT_EQ(report.restore_epochs.size(), 1u);
+  EXPECT_GT(report.restore_epochs[0], 0u) << "restart should resume from a checkpoint";
+  EXPECT_TRUE(recovered.converged);
+  expect_same_model(recovered, baseline, /*tolerance=*/0.0);
+}
+
 TEST(ChaosRecovery, RecoveryDisabledFailsFastInsteadOfHanging) {
   const Dataset d = chaos_dataset();
   const SolverParams params = rbf_params();
