@@ -310,8 +310,8 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
   const auto baseline = run_baseline(train, entry, args.eps);
   print_baseline_line(baseline);
 
-  // Shape checks the paper's figure makes: Best <= Default and Best <= Worst
-  // in per-rank work at the largest p.
+  // Shape checks the paper's figure makes at the largest p: Best <= Default
+  // in per-rank work, and Best <= Worst in modeled time.
   const ScalingRow* best = nullptr;
   const ScalingRow* worst = nullptr;
   const ScalingRow* fallback = nullptr;
@@ -330,11 +330,15 @@ inline int run_figure_bench(const std::string& figure, const std::string& datase
                         fallback->result.max_rank_kernel_evaluations
                     ? "OK"
                     : "VIOLATED");
-    std::printf("shape check at p=%d: Best modeled %.3fs <= Worst modeled %.3fs : %s\n",
-                rank_list.back(), best->result.modeled_seconds, worst->result.modeled_seconds,
-                best->result.modeled_seconds <= worst->result.modeled_seconds * 1.05
+    // Best passes within 5% of Worst; the line prints that factor, so the
+    // inequality it shows is the one it tested.
+    constexpr double kWorstSlack = 1.05;
+    std::printf("shape check at p=%d: Best modeled %.3fs <= %.2f x Worst modeled %.3fs : %s\n",
+                rank_list.back(), best->result.modeled_seconds, kWorstSlack,
+                worst->result.modeled_seconds,
+                best->result.modeled_seconds <= worst->result.modeled_seconds * kWorstSlack
                     ? "OK"
-                    : "INVERTED (container-scale iters~n regime; see EXPERIMENTS.md)");
+                    : "INVERTED (see EXPERIMENTS.md)");
   }
   return 0;
 }

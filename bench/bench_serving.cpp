@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
 
   // --- degraded regime (precision shedding) ---------------------------------
   // The same 2x-overload open-loop offer with degrade_enabled: batches formed
-  // while the queue sits past degrade_queue_frac of capacity are scored by
+  // while the queue sits past half its capacity (kDegradeQueueFrac) are scored by
   // the reduced-precision (f32) engine instead of being shed outright. The
   // regime must actually exercise the dark path, keep the overload latency
   // contract, and hold per-query-class sign agreement with the exact model:

@@ -1,9 +1,11 @@
-// Distributed model selection using communicator splitting: the world is
-// divided into one sub-communicator per (C, sigma^2) grid cell; each group
-// trains its cell's model SPMD, evaluates it distributed, and the results
-// are combined with an Allgather on the world communicator. The same
-// pattern a production MPI deployment would use for Table III's
-// hyper-parameter search.
+// Distributed model selection over sub-communicators: the world is divided
+// into one sub-communicator per (C, sigma^2) grid cell, built the way the
+// scheduler builds a job's gang (Comm::split_subset over a context every
+// member derives from World::context_for_group, with no collective over the
+// world). Each group trains its cell's model SPMD, assembles it from an
+// Allgatherv of the block alphas and evaluates it distributed; each group's
+// leader records the cell's result. The same pattern a production MPI
+// deployment would use for Table III's hyper-parameter search.
 //
 //   ./distributed_grid_search [--ranks 8] [--n 800]
 #include <cstdio>
@@ -42,8 +44,12 @@ int main(int argc, char** argv) {
 
   svmmpi::run_spmd(ranks, [&](svmmpi::Comm& world) {
     // One sub-communicator per grid cell, round-robin over world ranks.
-    const int cell_id = world.rank() % static_cast<int>(grid.size());
-    svmmpi::Comm group = world.split(cell_id, world.rank());
+    const int cells = static_cast<int>(grid.size());
+    const int cell_id = world.rank() % cells;
+    std::vector<int> members;
+    for (int r = cell_id; r < world.size(); r += cells) members.push_back(r);
+    svmmpi::Comm group =
+        world.split_subset(members, world.world().context_for_group(members));
 
     svmcore::SolverParams params;
     params.C = grid[cell_id].C;

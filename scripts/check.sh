@@ -2,11 +2,11 @@
 # Tier-1 verification plus sanitizer passes over the layers that need them.
 # Run from the repo root:
 #
-#   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos tests, werror, obs
+#   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos/obs/mpisim tests, werror, obs
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
 #   scripts/check.sh --contention  # only the full ctest suite, twice, on an oversubscribed host
 #   scripts/check.sh --asan     # only the ASan kernel/engine/cache + collective tests
-#   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs tests
+#   scripts/check.sh --tsan     # only the TSan chaos/fault-tolerance + obs + mpisim tests
 #   scripts/check.sh --werror   # only the warnings-as-errors build of every target
 #   scripts/check.sh --obs      # only the observability end-to-end checks
 #   scripts/check.sh --sched    # only the multi-tenant scheduler checks
@@ -28,13 +28,16 @@
 # before the combine reads past a buffer.
 #
 # The TSan pass rebuilds under -DSVM_SANITIZE=thread (build-tsan/) and runs
-# the `chaos`- and `obs`-labelled ctest suites: the fault-injection,
-# checkpoint/restart and elastic shrink-world tests plus the trace-recorder
-# concurrency tests. Failure detection, World::mark_failed poking,
-# Comm::agree, ElasticAttempt's generation hand-off and the
-# lock-free per-thread trace rings are all cross-thread rendezvous under the
-# simulated MPI world — exactly the code a data-race would corrupt silently
-# in a plain run.
+# the `chaos`-, `obs`- and `mpisim`-labelled ctest suites: the
+# fault-injection, checkpoint/restart, elastic shrink-world, scheduler and
+# serving tests, the trace-recorder concurrency tests, and the runtime's own
+# pt2pt, collective and stress suites (the mailbox and rendezvous code).
+# Failure detection, World::mark_failed poking, Comm::agree, ElasticAttempt's
+# generation hand-off and the lock-free per-thread trace rings are all
+# cross-thread rendezvous under the simulated MPI world — exactly the code a
+# data-race would corrupt silently in a plain run. It builds the
+# `labelled_tests` target, every binary a label filter can select, so no
+# selected test is skipped for want of its binary.
 #
 # The werror pass configures a separate tree (build-werror/) with
 # -DSHRINKSVM_WERROR=ON and builds every target: a warning is a bug (a
@@ -146,11 +149,10 @@ if $run_asan; then
 fi
 
 if $run_tsan; then
-  echo "=== tsan: chaos/fault-tolerance tests under -fsanitize=thread ==="
+  echo "=== tsan: chaos/fault-tolerance, obs and mpisim tests under -fsanitize=thread ==="
   cmake -B build-tsan -S . -DSVM_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target \
-    test_mpisim_fault test_chaos_recovery test_elastic_shrink test_gradrecon_pipeline test_obs
-  (cd build-tsan && ctest -L 'chaos|obs' --output-on-failure -j "$(nproc)")
+  cmake --build build-tsan -j --target labelled_tests
+  (cd build-tsan && ctest -L 'chaos|obs|mpisim' --output-on-failure -j "$(nproc)")
 fi
 
 if $run_werror; then

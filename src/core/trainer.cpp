@@ -1,13 +1,10 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "mpisim/spmd.hpp"
 #include "obs/trace.hpp"
@@ -330,7 +327,7 @@ svmobs::RunReport run_report(const TrainResult& result, const TrainOptions& opti
 TrainResult train(const svmdata::Dataset& dataset, const SolverParams& params,
                   const TrainOptions& options) {
   const DistributedConfig config = solver_config(params, options);
-  svmobs::TraceSession trace(options.trace_path, options.trace_buffer_events);
+  svmobs::TraceSession trace(options.trace_path);
   TrainResult out = train_impl(dataset, options, config, /*injector=*/nullptr);
   maybe_write_metrics(out, options);
   return out;
@@ -367,7 +364,7 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
 
   // One trace session across every attempt, so restarts and recovery
   // generations land on one timeline (marked by the instants below).
-  svmobs::TraceSession trace(options.trace_path, options.trace_buffer_events);
+  svmobs::TraceSession trace(options.trace_path);
 
   // The elastic policies recover in-world; the driver loop only sees their
   // unrecoverable outcomes (escalation, unexplained timeout) and relaunches
@@ -406,13 +403,6 @@ TrainResult train_with_recovery(const svmdata::Dataset& dataset, const SolverPar
       if (attempt == recovery.max_restarts)
         throw std::runtime_error(std::string("train_with_recovery: out of restarts after: ") +
                                  escalation.what());
-    }
-    if (recovery.backoff_base_s > 0.0) {
-      // Restart throttle: capped exponential backoff before the relaunch.
-      const double delay_s =
-          std::min(recovery.backoff_base_s * std::ldexp(1.0, attempt), recovery.backoff_cap_s);
-      rep.backoff_seconds += delay_s;
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
     }
     // Pin the newest consistent cut (single-threaded: the failed world has
     // been fully joined by the launcher before its exception reached us).

@@ -44,8 +44,6 @@ struct TrainOptions {
   /// svmobs.run_report.v1: per-rank metric registries + cross-rank
   /// aggregate) is written here after a successful run.
   std::string metrics_path;
-  /// Per-thread trace ring capacity in events; overflow drops the oldest.
-  std::size_t trace_buffer_events = 1u << 16;
 };
 
 struct TrainResult {
@@ -128,12 +126,6 @@ struct RecoveryOptions {
   /// Maximum SPMD relaunches after the initial attempt before giving up and
   /// rethrowing the last failure.
   int max_restarts = 8;
-  /// Capped exponential backoff between relaunches: before retry k (0-based)
-  /// the driver sleeps min(backoff_base_s * 2^k, backoff_cap_s) wall-clock
-  /// seconds, modelling a real scheduler's restart throttle so a flapping
-  /// node does not hot-loop the cluster. 0 (the default) disables the sleep.
-  double backoff_base_s = 0.0;
-  double backoff_cap_s = 1.0;
   /// Maximum in-world shrink generations per elastic attempt; one more loss
   /// escalates to a full-world relaunch (counted against max_restarts) even
   /// under shrink_world, bounding how far a cascade of permanent losses can
@@ -149,7 +141,6 @@ struct RecoveryReport {
   int attempts = 0;                   ///< SPMD launches performed (1 = fault-free)
   int restarts = 0;                   ///< full-world relaunches performed
   int shrinks = 0;                    ///< in-world shrink recoveries performed
-  double backoff_seconds = 0.0;       ///< total restart-throttle sleep
   std::vector<std::string> failures;  ///< what() of each failure survived
   std::vector<int> ranks_lost;        ///< world ranks whose memory was lost
   std::uint64_t checkpoints_saved = 0;

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <tuple>
 
 #include "obs/trace.hpp"
 
 namespace svmmpi {
 
 namespace {
-
-// Internal tag space for runtime protocol messages (context distribution
-// during split); user tags must stay below this.
-constexpr int kSplitContextTag = 1 << 28;
 
 // An injected delay sleeps in slices this long, polling its context between
 // them, so a watchdog cancellation ends the stall within one slice.
@@ -237,7 +232,6 @@ std::vector<std::byte> Comm::collective(std::vector<std::byte> contribution,
       s.modeled_seconds +=
           static_cast<double>(p - 1) * world_->model().ring_step(payload_bytes);
       break;
-    case ModelAs::none: break;
   }
   if (svmobs::trace_enabled() && s.collectives % kNetCounterStride == 0) trace_net_seconds(s);
   return result;
@@ -450,45 +444,6 @@ Comm Comm::split_subset(const std::vector<int>& world_ranks, int context_id) con
   if (world_->context(context_id).size() != static_cast<int>(world_ranks.size()))
     throw std::invalid_argument("svmmpi: split_subset context size mismatch");
   return Comm(world_, std::make_shared<std::vector<int>>(world_ranks), new_rank, context_id);
-}
-
-Comm Comm::split(int color, int key) const {
-  struct Entry {
-    int color;
-    int key;
-    int parent_rank;
-  };
-  Comm self = *this;  // allgather is non-const only because of stats; copy is cheap
-  const Entry mine{color, key, rank_};
-  const std::vector<Entry> entries = self.allgather(mine);
-
-  // Deterministically derive my new group: members with my color ordered by
-  // (key, parent rank).
-  std::vector<Entry> members;
-  for (const Entry& e : entries)
-    if (e.color == color) members.push_back(e);
-  std::sort(members.begin(), members.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.key, a.parent_rank) < std::tie(b.key, b.parent_rank);
-  });
-
-  auto new_group = std::make_shared<std::vector<int>>();
-  int new_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    new_group->push_back((*group_)[members[i].parent_rank]);
-    if (members[i].parent_rank == rank_) new_rank = static_cast<int>(i);
-  }
-
-  // The new group's leader allocates the collective context and distributes
-  // its id to the other members over the *parent* communicator.
-  int new_context = -1;
-  if (new_rank == 0) {
-    new_context = world_->create_context(static_cast<int>(members.size()));
-    for (std::size_t i = 1; i < members.size(); ++i)
-      self.send_value(new_context, members[i].parent_rank, kSplitContextTag);
-  } else {
-    new_context = self.recv_value<int>(members[0].parent_rank, kSplitContextTag);
-  }
-  return Comm(world_, std::move(new_group), new_rank, new_context);
 }
 
 }  // namespace svmmpi

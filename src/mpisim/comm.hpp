@@ -22,7 +22,7 @@
 
 namespace svmmpi {
 
-enum class ReduceOp { sum, min, max, prod };
+enum class ReduceOp { sum, min, max };
 
 /// Value/index pair for MINLOC/MAXLOC reductions (worst-KKT-violator
 /// selection in the SVM solvers). Ties break toward the smaller index so the
@@ -77,7 +77,6 @@ void apply_reduce(ReduceOp op, std::span<T> accumulator, std::span<const T> oper
       case ReduceOp::max:
         accumulator[i] = accumulator[i] < operand[i] ? operand[i] : accumulator[i];
         break;
-      case ReduceOp::prod: accumulator[i] *= operand[i]; break;
     }
   }
 }
@@ -197,31 +196,11 @@ class Comm {
     return Request{};
   }
 
-  /// Deferred receive: the payload lands in `out` when the Request is waited.
-  template <typename T>
-  [[nodiscard]] Request irecv(std::vector<T>& out, int source, int tag = 0) {
-    return Request([this, &out, source, tag] { out = recv<T>(source, tag); });
-  }
-
   /// Deferred receive into a reusable buffer: the payload is copied into
   /// `out`, reusing its capacity — steady-state ring steps allocate nothing
   /// on the receive side (the double-buffered reconstruction pipeline).
   [[nodiscard]] Request irecv_into(std::vector<std::byte>& out, int source, int tag = 0) {
     return Request([this, &out, source, tag] { recv_bytes_into(out, source, tag, nullptr); });
-  }
-
-  static void wait_all(std::span<Request> requests) {
-    for (Request& r : requests) r.wait();
-  }
-
-  /// Combined send+receive, the ring-exchange building block (Algorithm 3).
-  template <typename T>
-  [[nodiscard]] std::vector<T> sendrecv(std::span<const T> outgoing, int destination, int source,
-                                        int tag = 0) {
-    Request s = isend(outgoing, destination, tag);
-    std::vector<T> incoming = recv<T>(source, tag);
-    s.wait();
-    return incoming;
   }
 
   // --- collectives ---------------------------------------------------------
@@ -238,13 +217,6 @@ class Comm {
         [root](const std::vector<std::vector<std::byte>>& parts) { return parts[root]; },
         /*modeled=*/ModelAs::tree, data.size() * sizeof(T), "bcast");
     data = detail::from_bytes<T>(out);
-  }
-
-  template <typename T>
-  [[nodiscard]] T bcast_value(T value, int root) {
-    std::vector<T> one{value};
-    bcast(one, root);
-    return one[0];
   }
 
   /// Element-wise allreduce over equal-length vectors.
@@ -288,19 +260,6 @@ class Comm {
                                               DoubleInt max_key,
                                               std::span<const std::byte> max_payload);
 
-  /// Gather one value from every rank; result indexed by rank.
-  template <typename T>
-  [[nodiscard]] std::vector<T> allgather(const T& value) {
-    auto per_rank = allgatherv(std::span<const T>(&value, 1));
-    std::vector<T> flat(per_rank.size());
-    for (std::size_t r = 0; r < per_rank.size(); ++r) {
-      if (per_rank[r].size() != 1)
-        throw std::runtime_error("svmmpi: allgather expected one element per rank");
-      flat[r] = per_rank[r][0];
-    }
-    return flat;
-  }
-
   /// Variable-length allgather; result[r] is rank r's contribution.
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> allgatherv(std::span<const T> mine) {
@@ -309,53 +268,13 @@ class Comm {
     return detail::split_concatenated<T>(out);
   }
 
-  /// Rooted reduction: every rank contributes; only `root` receives the
-  /// combined vector (others get their input back unchanged, like MPI's
-  /// undefined non-root recvbuf — do not rely on it).
-  template <typename T>
-  [[nodiscard]] std::vector<T> reduce(std::span<const T> data, ReduceOp op, int root) {
-    // Executed as an allreduce on the shared-memory substrate; modeled as
-    // the tree reduction a real MPI would run.
-    std::vector<T> combined = allreduce(data, op);
-    return rank_ == root ? combined : std::vector<T>(data.begin(), data.end());
-  }
-
-  /// Gather to root; result[r] is rank r's contribution (root only; other
-  /// ranks receive an empty vector).
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> gather(std::span<const T> mine, int root) {
-    auto all = allgatherv(mine);
-    if (rank_ != root) all.clear();
-    return all;
-  }
-
-  /// Scatter from root: rank r receives parts[r]. Non-root ranks pass any
-  /// (ignored) `parts`; the root's vector must have one entry per rank.
-  template <typename T>
-  [[nodiscard]] std::vector<T> scatter(const std::vector<std::vector<T>>& parts, int root) {
-    if (rank_ == root && parts.size() != static_cast<std::size_t>(size()))
-      throw std::invalid_argument("svmmpi: scatter needs one part per rank");
-    std::vector<std::byte> packed;
-    if (rank_ == root) {
-      std::vector<std::vector<std::byte>> byte_parts(parts.size());
-      for (std::size_t r = 0; r < parts.size(); ++r)
-        byte_parts[r] = detail::to_bytes(std::span<const T>(parts[r]));
-      packed = detail::concat_with_sizes(byte_parts);
-    }
-    bcast(packed, root);  // modeled as a tree distribution
-    return detail::split_concatenated<T>(packed)[rank_];
-  }
-
-  /// Splits the communicator; ranks passing the same color form a new comm,
-  /// ordered by (key, parent rank). Collective over this comm.
-  [[nodiscard]] Comm split(int color, int key) const;
-
   /// Dispatcher-coordinated split: builds the communicator over the given
   /// (sorted, ascending) subset of this comm's member world ranks, using a
   /// collective context the dispatcher pre-allocated with
-  /// World::create_context(world_ranks.size()). Unlike split(), this is NOT
-  /// collective over the parent — only the subset's members call it, each
-  /// deriving the identical group locally (the same trick shrink() uses).
+  /// World::create_context(world_ranks.size()), or the one every member gets
+  /// from World::context_for_group(world_ranks). It is NOT collective over
+  /// the parent — only the subset's members call it, each deriving the
+  /// identical group locally (the same trick shrink() uses).
   /// This is the rank-allocation primitive of the multi-tenant scheduler:
   /// ranks busy inside other jobs never participate, and a fresh context per
   /// job attempt isolates the attempt's traffic from any stale messages a
@@ -405,7 +324,7 @@ class Comm {
   double credit_overlap(double compute_s, double comm_s);
 
  private:
-  enum class ModelAs { tree, ring, none };
+  enum class ModelAs { tree, ring };
 
   void send_bytes(std::vector<std::byte> payload, int destination, int tag);
   [[nodiscard]] std::vector<std::byte> recv_bytes(int source, int tag, int* actual_source);

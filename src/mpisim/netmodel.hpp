@@ -28,7 +28,7 @@ struct NetModel {
     return latency_s + static_cast<double>(bytes) * seconds_per_byte;
   }
 
-  /// Binomial-tree collective (Bcast / Reduce / small Allreduce).
+  /// Binomial-tree collective (Barrier / Bcast / small Allreduce).
   [[nodiscard]] double tree(std::size_t bytes, int p) const noexcept {
     return pt2pt(bytes) * static_cast<double>(ceil_log2(p));
   }

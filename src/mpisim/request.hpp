@@ -1,5 +1,5 @@
 // Nonblocking-operation handles. Sends complete eagerly (buffered, like
-// MPI_Bsend), so an isend's Request is born complete; an irecv's Request
+// MPI_Bsend), so an isend's Request is born complete; an irecv_into's Request
 // carries a deferred completion that performs the blocking receive when
 // waited on. This model is deadlock-free for any program whose sends are
 // matched by receives — which covers the ring exchange in Algorithm 3.

@@ -354,11 +354,10 @@ void trace_write(const std::string& path) {
   if (!out) throw std::runtime_error("svmobs: failed writing trace to " + path);
 }
 
-TraceSession::TraceSession(std::string path, std::size_t events_per_thread)
-    : path_(std::move(path)) {
+TraceSession::TraceSession(std::string path) : path_(std::move(path)) {
   if (path_.empty()) return;
   trace_reset();
-  trace_enable(events_per_thread);
+  trace_enable();
 }
 
 TraceSession::~TraceSession() {

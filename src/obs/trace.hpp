@@ -188,14 +188,14 @@ class TraceRound {
 void trace_write(const std::string& path);
 
 /// Scoped trace recording for one run (a train(), scheduler or serving
-/// call): reset + enable on entry, disable + write `path` on EVERY exit. A
-/// failing run unwinds through here with its rank threads already joined
-/// (the SPMD launchers join before rethrowing), so the partial trace is
-/// complete and race-free. A failed write is logged as a warning, never
-/// thrown. An empty path leaves the recorder untouched.
+/// call): reset + enable at the default ring capacity on entry, disable +
+/// write `path` on EVERY exit. A failing run unwinds through here with its
+/// rank threads already joined (the SPMD launchers join before rethrowing),
+/// so the partial trace is complete and race-free. A failed write is logged
+/// as a warning, never thrown. An empty path leaves the recorder untouched.
 class TraceSession {
  public:
-  explicit TraceSession(std::string path, std::size_t events_per_thread = 1u << 16);
+  explicit TraceSession(std::string path);
   ~TraceSession();
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;

@@ -28,6 +28,20 @@ namespace {
 using svmdata::Feature;
 using svmmpi::Comm;
 
+// --- service policy --------------------------------------------------------
+// Fixed tunings of the degradation ladder (see serving.hpp); ServeOptions
+// holds only what a caller sets.
+
+constexpr double kBatchLingerS = 0.0005;  // wait this long to top up a short batch
+constexpr double kAdmissionMargin = 0.8;  // shed when predicted wait > margin*deadline
+constexpr int kMaxRetries = 2;            // re-dispatches per shard per batch
+constexpr double kRetryBackoffS = 0.002;  // first backoff; doubles, capped below
+constexpr double kRetryBackoffCapS = 0.01;
+constexpr double kHedgePollS = 0.002;  // poll slice alternating replicas when hedged
+constexpr double kQuarantineMinBaselineS = 5e-4;  // floor so tiny baselines don't trip
+constexpr double kDegradeQueueFrac = 0.5;         // degrade when depth > frac*capacity
+constexpr double kWorkerReadyTimeoutS = 5.0;      // startup barrier per worker
+
 // --- wire protocol ---------------------------------------------------------
 // Frontend -> worker on kWorkTag: BatchHeader, then `count` queries, each a
 // QueryHeader followed by its features. Worker -> frontend: `count` doubles
@@ -38,7 +52,7 @@ using svmmpi::Comm;
 constexpr int kReadyTag = 1;
 constexpr int kWorkTag = 2;
 constexpr int kReplyTagBase = 100;
-// Reply tags cycle far below the runtime's reserved tag space (1 << 28).
+// Reply tags cycle through a fixed window, so a tag always fits an int.
 constexpr std::uint32_t kReplyTagWindow = 1u << 20;
 
 constexpr std::uint32_t kOpExit = 0;
@@ -192,7 +206,7 @@ SubmitVerdict submit(Shared& sh, std::uint32_t id, const ServeOptions& opt) {
   if (rate > 0.0) {
     const double backlog =
         static_cast<double>(depth) + static_cast<double>(sh.inflight.load(std::memory_order_relaxed));
-    if (backlog / rate > opt.admission_margin * opt.deadline_s) {
+    if (backlog / rate > kAdmissionMargin * opt.deadline_s) {
       ++sh.shed_predicted_wait;
       rec.status = RequestStatus::shed;
       rec.done_s = now;
@@ -342,7 +356,7 @@ class Frontend {
     for (WorkerState& w : workers_) {
       std::vector<std::uint64_t> ready;
       try {
-        if (!comm_.recv_deadline(ready, w.rank, kReadyTag, opt_.worker_ready_timeout_s)) {
+        if (!comm_.recv_deadline(ready, w.rank, kReadyTag, kWorkerReadyTimeoutS)) {
           SVM_LOG_WARN << "svmserve: worker rank " << w.rank << " missed the ready barrier";
           w.dead = true;
         }
@@ -360,10 +374,10 @@ class Frontend {
     std::unique_lock lock(sh_.mutex);
     sh_.arrived.wait(lock, [&] { return !sh_.queue.empty() || sh_.producers_done; });
     if (sh_.queue.empty()) return false;
-    if (sh_.queue.size() < opt_.batch_max && opt_.batch_linger_s > 0.0 && !sh_.producers_done) {
+    if (sh_.queue.size() < opt_.batch_max && !sh_.producers_done) {
       // Linger briefly to top up a short batch; a fuller batch amortizes the
       // per-shard dispatch cost. Bounded, so latency stays predictable.
-      sh_.arrived.wait_for(lock, std::chrono::duration<double>(opt_.batch_linger_s),
+      sh_.arrived.wait_for(lock, std::chrono::duration<double>(kBatchLingerS),
                            [&] { return sh_.queue.size() >= opt_.batch_max; });
     }
     queue_depth_at_pop_ = sh_.queue.size();
@@ -396,7 +410,7 @@ class Frontend {
     const bool degraded =
         opt_.degrade_enabled &&
         queue_depth_at_pop_ >
-            static_cast<std::size_t>(opt_.degrade_queue_frac *
+            static_cast<std::size_t>(kDegradeQueueFrac *
                                      static_cast<double>(opt_.queue_capacity));
     if (degraded) ++counters_.degraded_batches;
 
@@ -488,7 +502,7 @@ class Frontend {
       d.partner = -1;
       return std::nullopt;
     };
-    double backoff = opt_.retry_backoff_s;
+    double backoff = kRetryBackoffS;
     std::vector<double> out;
     while (d.target >= 0) {
       const int result = await_reply(d, reply_tag, out);
@@ -512,9 +526,9 @@ class Frontend {
       if (d.partner >= 0) abandon(d.partner, reply_tag);
       d.partner = -1;
       ++d.attempts;
-      if (d.attempts > opt_.max_retries) return fail();
+      if (d.attempts > kMaxRetries) return fail();
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, opt_.retry_backoff_cap_s);
+      backoff = std::min(backoff * 2.0, kRetryBackoffCapS);
       const double now = sh_.clock.seconds();
       refresh_quarantine(now);
       const int exclude = result == kTimedOut ? d.target : -1;
@@ -544,7 +558,7 @@ class Frontend {
       const double remaining = opt_.dispatch_timeout_s - elapsed;
       if (remaining <= 0.0) return kTimedOut;
       const bool hedged = d.partner >= 0;
-      const double slice = hedged ? std::min(opt_.hedge_poll_s, remaining) : remaining;
+      const double slice = hedged ? std::min(kHedgePollS, remaining) : remaining;
       // Primary slice.
       const int verdict = poll_one(d.target, reply_tag, slice, out);
       if (verdict == kGotReply) {
@@ -559,7 +573,7 @@ class Frontend {
         return kTargetLost;
       }
       if (hedged) {
-        const int hv = poll_one(d.partner, reply_tag, std::min(opt_.hedge_poll_s, remaining), out);
+        const int hv = poll_one(d.partner, reply_tag, std::min(kHedgePollS, remaining), out);
         if (hv == kGotReply) {
           note_success(d.partner, sh_.clock.seconds() - d.sent_at);
           abandon(d.target, reply_tag);
@@ -696,7 +710,7 @@ class Frontend {
       if (!other.dead && other.samples > 0 && &other != &w)
         baseline = std::min(baseline, other.ewma_s);
     if (!std::isfinite(baseline)) return;
-    baseline = std::max(baseline, opt_.quarantine_min_baseline_s);
+    baseline = std::max(baseline, kQuarantineMinBaselineS);
     if (w.ewma_s > opt_.quarantine_latency_factor * baseline) {
       w.quarantined = true;
       w.probation = false;
@@ -910,8 +924,6 @@ void validate(const svmcore::SvmModel& model, const svmdata::CsrMatrix& queries,
   if (opt.deadline_s <= 0.0) throw std::invalid_argument("run_serving: deadline_s must be > 0");
   if (opt.dispatch_timeout_s <= 0.0)
     throw std::invalid_argument("run_serving: dispatch_timeout_s must be > 0");
-  if (opt.max_retries < 0)
-    throw std::invalid_argument("run_serving: max_retries must be non-negative");
   if (opt.net_model.timeout_s <= 0.0)
     throw std::invalid_argument(
         "run_serving: net_model.timeout_s must be > 0 (deadline-driven failure detection)");

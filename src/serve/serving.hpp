@@ -19,32 +19,36 @@
 //
 // Client threads (synthetic load, see client_load.hpp) call into the bounded
 // request queue; the frontend forms micro-batches (up to batch_max, with a
-// short linger), ships one serialized batch per shard, and each worker
-// answers it with a single KernelEngine::eval_block_rows call.
+// kBatchLingerS linger), ships one serialized batch per shard, and each
+// worker answers it with a single KernelEngine::eval_block_rows call.
 //
 // Graceful degradation, in escalation order:
 //   - deadline-aware admission: a request is shed at submit time when the
 //     queue is full or the predicted queue wait (queue depth / observed
-//     service rate) exceeds its deadline — the queue is bounded by
-//     construction and p99 of ACCEPTED requests stays bounded at any
-//     offered load;
+//     service rate) exceeds kAdmissionMargin x its deadline — the queue is
+//     bounded by construction and p99 of ACCEPTED requests stays bounded at
+//     any offered load;
 //   - optional precision shedding: when the queue crosses
-//     degrade_queue_frac of capacity, batches are marked degraded and
+//     kDegradeQueueFrac of capacity, batches are marked degraded and
 //     workers score them against a reduced-precision (f32 panel)
 //     RowStore instead of the exact engine;
-//   - per-dispatch timeout with capped-backoff retry, rotating across the
-//     shard's replicas; a retry after a suspected-slow first attempt is
-//     hedged to both replicas and the first answer wins (the loser's reply
-//     is drained later — replies are tagged per batch, so a stale answer
-//     can never be mistaken for a fresh one);
+//   - per-dispatch timeout with up to kMaxRetries re-dispatches, backing off
+//     from kRetryBackoffS and doubling to kRetryBackoffCapS, rotating across
+//     the shard's replicas; a retry after a suspected-slow first attempt is
+//     hedged to both replicas (polled in kHedgePollS slices) and the first
+//     answer wins (the loser's reply is drained later — replies are tagged
+//     per batch, so a stale answer can never be mistaken for a fresh one);
 //   - replica failover: a dead rank (FaultPlan crash/die mid-query) wakes
 //     the frontend's deadline wait via the failure registry, and the
 //     shard's traffic moves to the surviving replica — zero failed
 //     responses as long as one replica per shard lives;
 //   - health/quarantine: per-worker EWMA service latency; a worker whose
-//     EWMA exceeds quarantine_latency_factor x the fleet baseline (an
-//     injected-slow rank) is ejected from the dispatch set for a cooldown,
-//     then re-admitted through a hedged probe.
+//     EWMA exceeds quarantine_latency_factor x the fleet baseline (floored at
+//     kQuarantineMinBaselineS; an injected-slow rank) is ejected from the
+//     dispatch set for a cooldown, then re-admitted through a hedged probe.
+//
+// The k* names are fixed policy constants in serving.cpp; a worker that
+// misses kWorkerReadyTimeoutS at startup is marked dead.
 #pragma once
 
 #include <cstddef>
@@ -68,23 +72,15 @@ struct ServeOptions {
 
   std::size_t queue_capacity = 64;  ///< bounded request queue
   std::size_t batch_max = 8;        ///< micro-batch size cap
-  double batch_linger_s = 0.0005;   ///< wait this long to top up a short batch
 
-  double deadline_s = 0.1;        ///< per-request latency deadline
-  double admission_margin = 0.8;  ///< shed when predicted wait > margin*deadline
+  double deadline_s = 0.1;  ///< per-request latency deadline
 
   double dispatch_timeout_s = 0.05;  ///< per-attempt shard-reply deadline
-  int max_retries = 2;               ///< re-dispatches per shard per batch
-  double retry_backoff_s = 0.002;    ///< first backoff; doubles, capped below
-  double retry_backoff_cap_s = 0.01;
-  double hedge_poll_s = 0.002;  ///< poll slice alternating replicas when hedged
 
-  double quarantine_latency_factor = 8.0;   ///< EWMA > factor*baseline ejects
-  double quarantine_min_baseline_s = 5e-4;  ///< floor so tiny baselines don't trip
-  double quarantine_cooldown_s = 0.05;      ///< ejection duration, then probe
+  double quarantine_latency_factor = 8.0;  ///< EWMA > factor*baseline ejects
+  double quarantine_cooldown_s = 0.05;     ///< ejection duration, then probe
 
-  bool degrade_enabled = false;      ///< f32 shedding under queue pressure
-  double degrade_queue_frac = 0.5;   ///< degrade when depth > frac*capacity
+  bool degrade_enabled = false;  ///< f32 shedding under queue pressure
 
   /// timeout_s doubles as the workers' idle-receive backstop; must be > 0
   /// (deadline-driven failure detection, as everywhere in svmmpi).
@@ -93,8 +89,6 @@ struct ServeOptions {
   /// rank 0: the frontend is the measurement harness, not the system under
   /// fault. nullptr = fault-free.
   const svmmpi::FaultPlan* fault_plan = nullptr;
-
-  double worker_ready_timeout_s = 5.0;  ///< startup barrier per worker
 
   std::string trace_path;    ///< Chrome trace out (empty = off)
   std::string metrics_path;  ///< RunReport out (empty = off)

@@ -193,7 +193,7 @@ TEST(Distributed, TraceDisabledByDefault) {
 
 TEST(Distributed, OneSamplePerRankEdgeCase) {
   // p == n: every rank owns exactly one sample; the full communication
-  // machinery (owner->0->bcast, ring) runs with minimal blocks.
+  // machinery (pair allreduce, reconstruction ring) runs with minimal blocks.
   svmdata::Dataset d;
   for (int i = 0; i < 12; ++i) {
     d.X.add_row(std::vector<svmdata::Feature>{{0, static_cast<double>(i % 2 ? 1 : -1)},

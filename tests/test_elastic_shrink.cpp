@@ -150,8 +150,9 @@ TEST(ElasticSpmd, ShrinkCompactsRenumbersAndKeepsCommunicating) {
           // rank one step around the survivors' ring.
           const int to = (next.rank() + 1) % next.size();
           const int from = (next.rank() + next.size() - 1) % next.size();
-          const std::vector<int> got = next.sendrecv(
-              std::span<const int>(&world_rank, 1), to, from);
+          svmmpi::Request sent = next.isend(std::span<const int>(&world_rank, 1), to);
+          const std::vector<int> got = next.recv<int>(from);
+          sent.wait();
           ring_peer[world_rank] = got.at(0);
           next.barrier();
         }

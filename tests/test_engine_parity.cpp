@@ -160,8 +160,7 @@ TEST(EngineParity, CheckpointRestartPreservesBackendParity) {
       // Probe a fault-free run's op count so the crash lands mid-solve.
       svmmpi::FaultInjector probe{svmmpi::FaultPlan{}};
       const SolverParams fast_params = params_for(entry, backend);
-      const DistributedConfig config{fast_params, options.heuristic, options.permanent_shrink,
-                                     options.openmp_gamma, options.trace_active_interval};
+      const DistributedConfig config = svmcore::solver_config(fast_params, options);
       svmmpi::run_spmd(
           options.num_ranks,
           [&](svmmpi::Comm& comm) {

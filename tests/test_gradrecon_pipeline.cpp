@@ -77,8 +77,7 @@ void expect_bit_identical(const TrainResult& a, const TrainResult& b) {
 std::uint64_t probe_ops(const Dataset& d, const SolverParams& params,
                         const TrainOptions& options, int rank) {
   FaultInjector probe{FaultPlan{}};
-  const DistributedConfig config{params, options.heuristic, options.permanent_shrink,
-                                 options.openmp_gamma, options.trace_active_interval};
+  const DistributedConfig config = svmcore::solver_config(params, options);
   svmmpi::run_spmd(
       options.num_ranks,
       [&](svmmpi::Comm& comm) {

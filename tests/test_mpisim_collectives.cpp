@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -35,13 +34,6 @@ TEST_P(CollectivesP, BcastFromEveryRoot) {
       comm.bcast(data, root);
       EXPECT_EQ(data, (std::vector<int>{root * 10, root * 10 + 1}));
     }
-  });
-}
-
-TEST_P(CollectivesP, BcastValue) {
-  run_spmd(GetParam(), [](Comm& comm) {
-    const double v = comm.bcast_value(comm.rank() == 0 ? 2.5 : -1.0, 0);
-    EXPECT_DOUBLE_EQ(v, 2.5);
   });
 }
 
@@ -112,15 +104,6 @@ TEST_P(CollectivesP, MaxlocTieBreaksTowardSmallerIndex) {
   });
 }
 
-TEST_P(CollectivesP, AllgatherOrderedByRank) {
-  const int p = GetParam();
-  run_spmd(p, [p](Comm& comm) {
-    const auto all = comm.allgather(comm.rank() * 3);
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) EXPECT_EQ(all[r], r * 3);
-  });
-}
-
 TEST_P(CollectivesP, AllgathervVariableLengths) {
   const int p = GetParam();
   run_spmd(p, [p](Comm& comm) {
@@ -143,61 +126,6 @@ TEST_P(CollectivesP, RepeatedCollectivesDoNotCrossRounds) {
       EXPECT_EQ(v, round);
     }
   });
-}
-
-TEST_P(CollectivesP, ReduceDeliversToRootOnly) {
-  const int p = GetParam();
-  run_spmd(p, [p](Comm& comm) {
-    const std::vector<std::int64_t> mine{static_cast<std::int64_t>(comm.rank()), 1};
-    const auto out = comm.reduce(std::span<const std::int64_t>(mine), ReduceOp::sum, 0);
-    if (comm.rank() == 0) {
-      EXPECT_EQ(out[0], static_cast<std::int64_t>(p) * (p - 1) / 2);
-      EXPECT_EQ(out[1], p);
-    } else {
-      EXPECT_EQ(out, mine);  // non-root keeps its input
-    }
-  });
-}
-
-TEST_P(CollectivesP, GatherOrderedAtRoot) {
-  const int p = GetParam();
-  const int root = p - 1;
-  run_spmd(p, [p, root](Comm& comm) {
-    const std::vector<int> mine(comm.rank() + 1, comm.rank());
-    const auto parts = comm.gather(std::span<const int>(mine), root);
-    if (comm.rank() == root) {
-      ASSERT_EQ(parts.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        ASSERT_EQ(parts[r].size(), static_cast<std::size_t>(r + 1));
-        for (const int v : parts[r]) EXPECT_EQ(v, r);
-      }
-    } else {
-      EXPECT_TRUE(parts.empty());
-    }
-  });
-}
-
-TEST_P(CollectivesP, ScatterDistributesParts) {
-  const int p = GetParam();
-  run_spmd(p, [p](Comm& comm) {
-    std::vector<std::vector<double>> parts;
-    if (comm.rank() == 0) {
-      parts.resize(p);
-      for (int r = 0; r < p; ++r) parts[r].assign(r + 2, static_cast<double>(r * 10));
-    }
-    const auto mine = comm.scatter(parts, 0);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(comm.rank() + 2));
-    for (const double v : mine) EXPECT_DOUBLE_EQ(v, comm.rank() * 10.0);
-  });
-}
-
-TEST(CollectivesScatter, RootValidatesPartCount) {
-  EXPECT_THROW(run_spmd(2,
-                        [](Comm& comm) {
-                          std::vector<std::vector<int>> parts(1);  // wrong: need 2
-                          (void)comm.scatter(parts, 0);
-                        }),
-               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesP, ::testing::Values(1, 2, 3, 4, 8));
@@ -324,41 +252,6 @@ TEST_P(MinMaxLocP, TruncatedOrPaddedContributionThrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, MinMaxLocP, ::testing::Values(1, 2, 3, 8));
-
-TEST(CollectivesSplit, SplitByParity) {
-  run_spmd(6, [](Comm& comm) {
-    const int color = comm.rank() % 2;
-    Comm sub = comm.split(color, comm.rank());
-    EXPECT_EQ(sub.size(), 3);
-    EXPECT_EQ(sub.rank(), comm.rank() / 2);
-    // Collectives on the sub-communicator see only the subgroup.
-    const auto sum = sub.allreduce(static_cast<std::int64_t>(comm.rank()), ReduceOp::sum);
-    EXPECT_EQ(sum, color == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
-    // Point-to-point within the subgroup uses sub-ranks.
-    if (sub.rank() == 0) sub.send_value(color * 10, 1);
-    if (sub.rank() == 1) {
-      EXPECT_EQ(sub.recv_value<int>(0), color * 10);
-    }
-  });
-}
-
-TEST(CollectivesSplit, SplitKeyReordersRanks) {
-  run_spmd(4, [](Comm& comm) {
-    // Reverse order: higher parent rank gets lower key.
-    Comm sub = comm.split(0, -comm.rank());
-    EXPECT_EQ(sub.rank(), comm.size() - 1 - comm.rank());
-  });
-}
-
-TEST(CollectivesSplit, ParentStillUsableAfterSplit) {
-  run_spmd(4, [](Comm& comm) {
-    Comm sub = comm.split(comm.rank() / 2, 0);
-    const auto total = comm.allreduce(1, ReduceOp::sum);
-    EXPECT_EQ(total, 4);
-    const auto sub_total = sub.allreduce(1, ReduceOp::sum);
-    EXPECT_EQ(sub_total, 2);
-  });
-}
 
 TEST(CollectivesModel, TreeCostGrowsWithRanks) {
   svmmpi::NetModel model;

@@ -223,15 +223,15 @@ TEST(Timeout, ZeroTimeoutMeansWaitForever) {
 // --- WorldAborted propagation ----------------------------------------------
 
 TEST(Abort, SiblingFailurePropagatesThroughIrecvWaitAll) {
-  // Rank 0 parks in wait_all on receives that will never be satisfied; rank 1
-  // throws. The launcher must abort the world (waking rank 0 with
+  // Rank 0 parks waiting on deferred receives that will never be satisfied;
+  // rank 1 throws. The launcher must abort the world (waking rank 0 with
   // WorldAborted) and rethrow rank 1's original error to the caller.
   try {
     svmmpi::run_spmd(2, [](Comm& comm) {
       if (comm.rank() == 0) {
-        std::vector<int> a, b;
-        svmmpi::Request requests[2] = {comm.irecv(a, 1, 1), comm.irecv(b, 1, 2)};
-        Comm::wait_all(requests);
+        std::vector<std::byte> a, b;
+        svmmpi::Request requests[2] = {comm.irecv_into(a, 1, 1), comm.irecv_into(b, 1, 2)};
+        for (svmmpi::Request& r : requests) r.wait();
       } else {
         throw std::runtime_error("rank 1 exploded");
       }

@@ -88,11 +88,11 @@ TEST(Pt2Pt, IsendIrecvWaitall) {
   run_spmd(2, [](Comm& comm) {
     const int peer = 1 - comm.rank();
     const std::vector<double> mine(64, static_cast<double>(comm.rank()) + 0.5);
-    std::vector<double> theirs;
-    std::vector<svmmpi::Request> requests;
-    requests.push_back(comm.isend<double>(mine, peer, 1));
-    requests.push_back(comm.irecv<double>(theirs, peer, 1));
-    Comm::wait_all(requests);
+    std::vector<std::byte> bytes;
+    svmmpi::Request requests[2] = {comm.isend<double>(mine, peer, 1),
+                                   comm.irecv_into(bytes, peer, 1)};
+    for (svmmpi::Request& r : requests) r.wait();
+    const std::vector<double> theirs = svmmpi::detail::from_bytes<double>(bytes);
     ASSERT_EQ(theirs.size(), 64u);
     EXPECT_DOUBLE_EQ(theirs[0], static_cast<double>(peer) + 0.5);
   });
@@ -104,8 +104,11 @@ TEST(Pt2Pt, SendrecvRingRotation) {
     const int to = (comm.rank() + 1) % kRanks;
     const int from = (comm.rank() - 1 + kRanks) % kRanks;
     std::vector<int> token{comm.rank()};
-    for (int step = 0; step < kRanks; ++step)
-      token = comm.sendrecv<int>(token, to, from);
+    for (int step = 0; step < kRanks; ++step) {
+      svmmpi::Request sent = comm.isend<int>(token, to);
+      token = comm.recv<int>(from);
+      sent.wait();
+    }
     // After p rotations the token returns home.
     EXPECT_EQ(token[0], comm.rank());
   });
@@ -150,11 +153,12 @@ TEST(Pt2Pt, RequestIdempotentWait) {
     if (comm.rank() == 0) {
       comm.send_value(1, 1);
     } else {
-      std::vector<int> out;
-      auto r = comm.irecv(out, 0);
+      std::vector<std::byte> bytes;
+      auto r = comm.irecv_into(bytes, 0);
       r.wait();
       r.wait();  // second wait is a no-op
       EXPECT_TRUE(r.complete());
+      const std::vector<int> out = svmmpi::detail::from_bytes<int>(bytes);
       EXPECT_EQ(out, std::vector<int>{1});
     }
   });

@@ -44,7 +44,9 @@ TEST(Stress, InterleavedCollectivesAndPt2Pt) {
       const int to = (comm.rank() + 1) % kRanks;
       const int from = (comm.rank() - 1 + kRanks) % kRanks;
       const std::vector<int> token{comm.rank(), round};
-      const auto got = comm.sendrecv<int>(token, to, from);
+      svmmpi::Request sent = comm.isend<int>(token, to);
+      const auto got = comm.recv<int>(from);
+      sent.wait();
       EXPECT_EQ(got[0], from);
       EXPECT_EQ(got[1], round);
       const auto check = comm.allreduce(static_cast<std::int64_t>(round), ReduceOp::min);
@@ -60,7 +62,11 @@ TEST(Stress, LargePayloadRing) {
     std::vector<double> block(kDoubles, static_cast<double>(comm.rank()));
     const int to = (comm.rank() + 1) % kRanks;
     const int from = (comm.rank() - 1 + kRanks) % kRanks;
-    for (int step = 0; step < kRanks; ++step) block = comm.sendrecv<double>(block, to, from);
+    for (int step = 0; step < kRanks; ++step) {
+      svmmpi::Request sent = comm.isend<double>(block, to);
+      block = comm.recv<double>(from);
+      sent.wait();
+    }
     // Back to the original block after p rotations.
     for (std::size_t i = 0; i < 16; ++i)
       EXPECT_DOUBLE_EQ(block[i], static_cast<double>(comm.rank()));
@@ -127,8 +133,11 @@ TEST(Stress, AbortDuringRingUnblocksEveryone) {
                           const std::vector<int> token{comm.rank()};
                           const int to = (comm.rank() + 1) % 4;
                           const int from = (comm.rank() + 3) % 4;
-                          for (int step = 0; step < 4; ++step)
-                            (void)comm.sendrecv<int>(token, to, from);
+                          for (int step = 0; step < 4; ++step) {
+                            svmmpi::Request sent = comm.isend<int>(token, to);
+                            (void)comm.recv<int>(from);
+                            sent.wait();
+                          }
                         }),
                std::runtime_error);
 }

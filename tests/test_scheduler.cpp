@@ -158,7 +158,7 @@ TEST(SchedulerPrimitives, CancelContextUnblocksAWedgedReceive) {
 }
 
 TEST(SchedulerPrimitives, SplitSubsetBuildsDisjointGangsWithoutCollectives) {
-  std::vector<int> sums(4, 0);
+  std::vector<int> sums(4, 0), received(4, -1), world_totals(4, 0);
   (void)svmmpi::run_spmd(4, [&](svmmpi::Comm& comm) {
     const int ctx_even = comm.world().context_for_group({0, 2}, 1);
     const int ctx_odd = comm.world().context_for_group({1, 3}, 1);
@@ -167,11 +167,19 @@ TEST(SchedulerPrimitives, SplitSubsetBuildsDisjointGangsWithoutCollectives) {
                                           even ? ctx_even : ctx_odd);
     EXPECT_EQ(gang.size(), 2);
     sums[comm.rank()] = gang.allreduce(comm.rank(), svmmpi::ReduceOp::sum);
+    // Point-to-point inside a gang addresses gang ranks, and the parent
+    // communicator stays usable beside its gangs.
+    if (gang.rank() == 0) gang.send_value(comm.rank(), 1);
+    if (gang.rank() == 1) received[comm.rank()] = gang.recv_value<int>(0);
+    world_totals[comm.rank()] = comm.allreduce(1, svmmpi::ReduceOp::sum);
   });
   EXPECT_EQ(sums[0], 0 + 2);
   EXPECT_EQ(sums[2], 0 + 2);
   EXPECT_EQ(sums[1], 1 + 3);
   EXPECT_EQ(sums[3], 1 + 3);
+  EXPECT_EQ(received[2], 0);  // gang {0, 2}: gang rank 1 is world rank 2
+  EXPECT_EQ(received[3], 1);  // gang {1, 3}
+  EXPECT_EQ(world_totals, std::vector<int>(4, 4));
 }
 
 // --- scheduler end-to-end --------------------------------------------------
