@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   std::uint64_t horizon = 0;
   {
     svmmpi::FaultInjector probe{svmmpi::FaultPlan{}};
-    const svmcore::DistributedConfig config{params, options.heuristic};
+    const svmcore::DistributedConfig config = svmcore::solver_config(params, options);
     svmmpi::run_spmd(
         ranks,
         [&](svmmpi::Comm& comm) {
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
     std::uint64_t victim_ops = 0;
     {
       svmmpi::FaultInjector probe{svmmpi::FaultPlan{}};
-      const svmcore::DistributedConfig config{params, elastic_options.heuristic};
+      const svmcore::DistributedConfig config = svmcore::solver_config(params, elastic_options);
       svmmpi::run_spmd(
           p,
           [&](svmmpi::Comm& comm) {

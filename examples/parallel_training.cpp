@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
                             "collectives", "collective bytes", "ring bytes sent", "wall s"});
 
   for (const char* name : {"Original", "Single50pc", "Multi5pc"}) {
-    const svmcore::DistributedConfig config{params, svmcore::Heuristic::parse(name), false};
+    const svmcore::DistributedConfig config{.params = params,
+                                            .heuristic = svmcore::Heuristic::parse(name)};
 
     // The SPMD region: every rank constructs its own solver bound to its
     // block of the dataset and they cooperate through the communicator.

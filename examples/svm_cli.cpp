@@ -4,7 +4,7 @@
 //   svm_cli train    data.libsvm model.out  [--c 10] [--sigma-sq 4] [--gamma G]
 //                    [--eps 1e-3] [--ranks 4] [--heuristic Multi5pc]
 //                    [--kernel rbf|linear|polynomial|sigmoid] [--baseline]
-//                    [--w-pos W] [--w-neg W] [--engine-flavor f64|f32|f16|i8]
+//                    [--w-pos W] [--w-neg W]
 //   svm_cli predict  data.libsvm model.in   [--out predictions.txt]
 //                    [--engine-flavor f64|f32|f16|i8]
 //   svm_cli cv       data.libsvm            [--folds 10] [--c-grid 1,10,32]
@@ -15,9 +15,9 @@
 // For `regress`, labels in the file are treated as real-valued targets; for
 // `outliers`, labels are ignored. With --baseline, `train` uses the
 // libsvm-style reference solver instead of the distributed shrinking solver.
-// --engine-flavor sets the precision of --baseline's cached Q rows and of
-// predict's support-vector rows; training itself always runs f64, and the
-// kernel engine picks its own evaluation path.
+// --engine-flavor sets the precision of predict's support-vector rows;
+// training always runs f64 and refuses it, and the kernel engine picks its
+// own evaluation path.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -47,8 +47,6 @@ int usage(const char* program) {
       "               allreduce per iteration; [--pbm-blocks B] fixes the block\n"
       "               count, default = ranks)\n"
       "              [--w-pos W] [--w-neg W]\n"
-      "              [--engine-flavor f64|f32|f16|i8]   (--baseline only: the\n"
-      "               precision of its cached Q rows)\n"
       "              [--log-level L] [--trace-out trace.json] [--metrics-out m.json]\n"
       "  %s predict  <data> <model-in> [--out predictions.txt]\n"
       "              [--engine-flavor f64|f32|f16|i8]   (support-vector precision)\n"
@@ -82,6 +80,8 @@ std::vector<double> parse_grid(const std::string& list) {
 }
 
 int run_train(const svmutil::CliFlags& flags) {
+  if (flags.has("engine-flavor"))
+    throw std::invalid_argument("--engine-flavor applies to predict only (training runs f64)");
   const svmutil::ObsPaths obs = svmutil::apply_obs_flags(flags);
   const svmdata::Dataset train = svmdata::read_libsvm_file(flags.positional()[1]);
   const std::string model_path = flags.positional()[2];
@@ -97,16 +97,12 @@ int run_train(const svmutil::CliFlags& flags) {
     options.weight_negative = flags.get_double("w-neg", 1.0);
     options.eps = eps;
     options.kernel = kernel;
-    options.q_flavor = svmkernel::row_flavor_from_string(flags.get("engine-flavor", "f64"));
     const auto result = svmbaseline::solve_libsvm_like(train, options);
     std::printf("baseline: %llu iterations, cache hit rate %.1f%%\n",
                 static_cast<unsigned long long>(result.iterations),
                 100.0 * result.cache_hit_rate);
     model = svmcore::build_model(train, result.alpha, result.rho, kernel);
   } else {
-    if (flags.has("engine-flavor"))
-      throw std::invalid_argument(
-          "--engine-flavor applies to predict and --baseline only (training runs f64)");
     svmcore::SolverParams params;
     params.C = C;
     params.eps = eps;

@@ -2,7 +2,7 @@
 # Tier-1 verification plus sanitizer passes over the layers that need them.
 # Run from the repo root:
 #
-#   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos/obs/mpisim tests, werror, obs
+#   scripts/check.sh            # full: tier-1 build+ctest, contention, ASan kernel tests, TSan chaos/obs/mpisim tests, werror, obs, perfbench
 #   scripts/check.sh --tier1    # only the tier-1 build + full ctest suite
 #   scripts/check.sh --contention  # only the full ctest suite, twice, on an oversubscribed host
 #   scripts/check.sh --asan     # only the ASan kernel/engine/cache + collective tests
@@ -13,6 +13,7 @@
 #   scripts/check.sh --simd     # only the SIMD/precision flavor checks
 #   scripts/check.sh --serve    # only the prediction-serving checks
 #   scripts/check.sh --pbm      # only the PBM-solver checks
+#   scripts/check.sh --perfbench  # only the end-to-end benchmark self-test
 #
 # The contention pass runs the full ctest suite twice at -j$((2*nproc)).
 # Every test reserves 2 ctest processors and runs a 2-thread OpenMP team, so
@@ -84,6 +85,12 @@
 # all four instrumentation layers present, >= 2 counter tracks), validates
 # the run report a bench emits, and runs the tracing-disabled overhead guard
 # (< 2% on an SMO-shaped hot loop).
+#
+# The perfbench pass runs `python3 perfbench/run.py --self-test`: it builds
+# the benchmark program and the libraries it measures from source into
+# .bench_build/, then runs every workload at a tiny size (same seed, same
+# counts; bad flags refused). Nothing else builds perfbench, and it compiles
+# against the engine, solver and trainer signatures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,10 +104,11 @@ run_sched=true
 run_simd=true
 run_serve=true
 run_pbm=true
+run_perfbench=true
 only() {  # only <step>: disable every step except the named one
   run_tier1=false; run_contention=false; run_asan=false; run_tsan=false
   run_werror=false; run_obs=false; run_sched=false; run_simd=false
-  run_serve=false; run_pbm=false
+  run_serve=false; run_pbm=false; run_perfbench=false
   eval "run_$1=true"
 }
 case "${1:-}" in
@@ -114,8 +122,9 @@ case "${1:-}" in
   --simd) only simd ;;
   --serve) only serve ;;
   --pbm) only pbm ;;
+  --perfbench) only perfbench ;;
   "") ;;
-  *) echo "usage: scripts/check.sh [--tier1|--contention|--asan|--tsan|--werror|--obs|--sched|--simd|--serve|--pbm]" >&2; exit 2 ;;
+  *) echo "usage: scripts/check.sh [--tier1|--contention|--asan|--tsan|--werror|--obs|--sched|--simd|--serve|--pbm|--perfbench]" >&2; exit 2 ;;
 esac
 
 if $run_tier1; then
@@ -320,6 +329,11 @@ if $run_pbm; then
     echo "bench_diff failed to flag an injected regression in BENCH_pbm.json" >&2
     exit 1
   fi
+fi
+
+if $run_perfbench; then
+  echo "=== perfbench: benchmark self-test at tiny sizes ==="
+  python3 perfbench/run.py --self-test
 fi
 
 echo "ALL CHECKS PASSED"

@@ -22,8 +22,7 @@ BaselineResult solve_libsvm_like(const svmdata::Dataset& dataset,
   // LRU row cache; it never reads panels, so the path is forced. The paper's
   // OpenMP enhancement parallelizes exactly this row computation.
   svmkernel::KernelEngine engine(kernel, dataset.X, svmkernel::EngineBackend::dense_scatter,
-                                 options.cache_mb * (std::size_t{1} << 20),
-                                 options.q_flavor);
+                                 options.cache_mb * (std::size_t{1} << 20));
   engine.set_row_scale(dataset.y);
 
   std::vector<double> q_diag(n);

@@ -17,7 +17,6 @@
 #include "core/types.hpp"
 #include "data/sparse.hpp"
 #include "kernel/kernel.hpp"
-#include "kernel/row_store.hpp"
 
 namespace svmbaseline {
 
@@ -34,10 +33,6 @@ struct BaselineOptions {
   }
   double eps = 1e-3;
   std::size_t cache_mb = 256;      ///< kernel-row cache budget
-  /// Storage flavor for cached Q rows. f64/f32 keep the historical float
-  /// rows (bit-identical solves); f16/i8 compress the cache 2x/4x at the
-  /// cost of quantized Q values — accuracy-gated, see DESIGN.md.
-  svmkernel::RowFlavor q_flavor = svmkernel::RowFlavor::f64;
   bool use_shrinking = true;       ///< libsvm -h 1
   bool use_openmp = true;          ///< the paper's multicore enhancement
   std::uint64_t max_iterations = 100'000'000;

@@ -46,8 +46,7 @@ NuSvcResult solve_nu_svc(const svmdata::Dataset& dataset, const NuSvcOptions& op
   // Label-scaled Q rows (Q_ij = y_i y_j K_ij) from the engine's Q-row cache
   // (scatter path: no panels are read).
   svmkernel::KernelEngine engine(kernel, dataset.X, svmkernel::EngineBackend::dense_scatter,
-                                 options.cache_mb * (std::size_t{1} << 20),
-                                 options.q_flavor);
+                                 options.cache_mb * (std::size_t{1} << 20));
   engine.set_row_scale(dataset.y);
 
   std::vector<double> q_diag(n);

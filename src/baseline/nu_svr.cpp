@@ -38,8 +38,7 @@ NuSvrResult solve_nu_svr(const svmdata::CsrMatrix& X, std::span<const double> ta
   // no panels are read); Q rows are materialized locally with the sign
   // pattern (as in epsilon-SVR).
   svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
-                                 options.cache_mb * (std::size_t{1} << 20),
-                                 options.q_flavor);
+                                 options.cache_mb * (std::size_t{1} << 20));
 
   std::vector<double> y(l);
   std::vector<double> linear(l);

@@ -32,8 +32,7 @@ OneClassResult solve_one_class(const svmdata::CsrMatrix& X, const OneClassOption
   const svmkernel::Kernel kernel(options.kernel);
   // Unscaled Q = K for one-class: cached scatter-path rows, no row scale.
   svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
-                                 options.cache_mb * (std::size_t{1} << 20),
-                                 options.q_flavor);
+                                 options.cache_mb * (std::size_t{1} << 20));
 
   std::vector<double> q_diag(n);
   for (std::size_t i = 0; i < n; ++i) {

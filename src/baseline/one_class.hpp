@@ -15,7 +15,6 @@
 #include "core/model.hpp"
 #include "data/sparse.hpp"
 #include "kernel/kernel.hpp"
-#include "kernel/row_store.hpp"
 
 namespace svmbaseline {
 
@@ -24,9 +23,6 @@ struct OneClassOptions {
   double eps = 1e-3;
   svmkernel::KernelParams kernel{};
   std::size_t cache_mb = 256;
-  /// Cached Q-row storage flavor; f64/f32 = historical float rows
-  /// (bit-identical), f16/i8 = compressed accuracy-gated cache.
-  svmkernel::RowFlavor q_flavor = svmkernel::RowFlavor::f64;
   bool use_shrinking = true;
   bool use_openmp = true;
   std::uint64_t max_iterations = 100'000'000;

@@ -36,8 +36,7 @@ SvrResult solve_svr(const svmdata::CsrMatrix& X, std::span<const double> targets
   // (scatter path: no panels are read); the 2n-length Q rows are
   // materialized locally with the sign pattern.
   svmkernel::KernelEngine engine(kernel, X, svmkernel::EngineBackend::dense_scatter,
-                                 options.cache_mb * (std::size_t{1} << 20),
-                                 options.q_flavor);
+                                 options.cache_mb * (std::size_t{1} << 20));
 
   // Signs and linear term of the 2n-variable dual.
   std::vector<double> y(l);

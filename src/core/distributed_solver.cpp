@@ -257,16 +257,12 @@ DistributedSolver::PhaseExit DistributedSolver::run_phase(double tolerance, bool
     }
 
     // Gradient update over active samples (Eq. 2): one fused engine call
-    // computes K(x_up, i) and K(x_low, i) for the whole active set — the
-    // former serial and OpenMP branches collapse here, and the OpenMP knob
-    // now also accelerates shrink iterations (the kernel batch is
-    // order-independent; only the compaction below is sequential).
+    // computes K(x_up, i) and K(x_low, i) for the whole active set.
     const double coef_up = up_sample_.y(0) * delta_up;
     const double coef_low = low_sample_.y(0) * delta_low;
     k_up_.resize(active_.size());
     k_low_.resize(active_.size());
-    engine_.eval_pair_rows(x_up, sq_up, x_low, sq_low, active_, range_.begin, k_up_, k_low_,
-                           config_.openmp_gamma);
+    engine_.eval_pair_rows(x_up, sq_up, x_low, sq_low, active_, range_.begin, k_up_, k_low_);
     if (!shrink_now) {
       for (std::size_t a = 0; a < active_.size(); ++a)
         gamma_[active_[a]] += coef_up * k_up_[a] + coef_low * k_low_[a];
@@ -342,11 +338,8 @@ void DistributedSolver::snapshot_stats() {
   metrics_.counter("engine.scatter_builds").set(engine_.stats().scatter_builds);
   metrics_.counter("engine.bytes_streamed").set(engine_.stats().bytes_streamed);
   metrics_.counter("engine.panel_dots").set(engine_.stats().panel_dots);
-  // Resident bytes of the flavored structures: the panel path's RowStore
-  // and (for cached engines) the encoded Q-row cache. Zero when unused.
+  // Resident bytes of the panel path's RowStore; zero on the scalar paths.
   metrics_.gauge("engine.store_bytes").set(static_cast<double>(engine_.store_bytes()));
-  metrics_.gauge("cache.bytes_resident")
-      .set(static_cast<double>(engine_.cache_bytes_resident()));
   metrics_.gauge("solver.final_gap").set(beta_low_ - beta_up_);
   metrics_.gauge("solver.active_at_end").set(static_cast<double>(active_.size()));
   metrics_.gauge("solver.min_active").set(static_cast<double>(stats_.min_active));

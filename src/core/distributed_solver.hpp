@@ -40,10 +40,6 @@ struct DistributedConfig {
   /// CA-SVM-style ablation (§IV, design choice the paper rejects): shrink
   /// permanently and never reconstruct gradients. Faster, loses accuracy.
   bool permanent_shrink = false;
-  /// Hybrid MPI+OpenMP: parallelize the per-iteration gamma update across
-  /// the rank's cores (the paper's Cascade nodes have 16). Off by default —
-  /// with many simulated ranks on few cores it oversubscribes.
-  bool openmp_gamma = false;
   /// When > 0, record (iteration, global active-set size) every this many
   /// iterations into SolverStats::active_trace (rank 0 only). Costs one
   /// Allreduce per sample point; used by the figure benches.

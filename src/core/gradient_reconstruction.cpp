@@ -115,8 +115,7 @@ void DistributedSolver::reconstruct_gradients() {
         sq_norms.push_back(b.sq_norm(j));
         coeffs.push_back(b.alpha(j) * b.y(j));
       }
-      engine_.eval_block_rows(rows, sq_norms, coeffs, omega, range_.begin, gamma_accum,
-                              config_.openmp_gamma);
+      engine_.eval_block_rows(rows, sq_norms, coeffs, omega, range_.begin, gamma_accum);
       if (engine_.backend() != svmkernel::EngineBackend::reference)
         metrics_.counter("recon.scatter_builds_saved")
             .add(omega.size() - std::min(omega.size(), b.size()));

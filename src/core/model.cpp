@@ -41,18 +41,18 @@ double SvmModel::decision_value(std::span<const svmdata::Feature> x,
   return engine.accumulate_rows(x, sq_x, coefficients_) - beta_;
 }
 
-std::vector<double> SvmModel::predict_all(const svmdata::CsrMatrix& X, bool parallel) const {
+std::vector<double> SvmModel::predict_all(const svmdata::CsrMatrix& X) const {
   std::vector<double> out(X.rows());
   const auto n = static_cast<std::ptrdiff_t>(X.rows());
-#pragma omp parallel for schedule(static) if (parallel)
+#pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < n; ++i)
     out[static_cast<std::size_t>(i)] = predict(X.row(static_cast<std::size_t>(i)));
   return out;
 }
 
-double SvmModel::accuracy(const svmdata::Dataset& test, bool parallel) const {
+double SvmModel::accuracy(const svmdata::Dataset& test) const {
   if (test.size() == 0) return 0.0;
-  const std::vector<double> predicted = predict_all(test.X, parallel);
+  const std::vector<double> predicted = predict_all(test.X);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < test.size(); ++i)
     if (predicted[i] == test.y[i]) ++correct;

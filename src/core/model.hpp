@@ -54,12 +54,11 @@ class SvmModel {
     return decision_value(x) >= 0.0 ? 1.0 : -1.0;
   }
 
-  /// Predicts every row; OpenMP-parallel across rows when `parallel`.
-  [[nodiscard]] std::vector<double> predict_all(const svmdata::CsrMatrix& X,
-                                                bool parallel = true) const;
+  /// Predicts every row, OpenMP-parallel across rows.
+  [[nodiscard]] std::vector<double> predict_all(const svmdata::CsrMatrix& X) const;
 
   /// Fraction of rows whose prediction matches `labels`.
-  [[nodiscard]] double accuracy(const svmdata::Dataset& test, bool parallel = true) const;
+  [[nodiscard]] double accuracy(const svmdata::Dataset& test) const;
 
   // --- serialization -----------------------------------------------------
   void save(std::ostream& out) const;

@@ -206,11 +206,10 @@ void maybe_write_metrics(const TrainResult& result, const TrainOptions& options)
 
 DistributedConfig solver_config(const SolverParams& params, const TrainOptions& options,
                                 std::uint64_t checkpoint_interval, CheckpointStore* store) {
-  DistributedConfig config{params,
-                           options.heuristic,
-                           options.permanent_shrink,
-                           options.openmp_gamma,
-                           options.trace_active_interval};
+  DistributedConfig config{.params = params,
+                           .heuristic = options.heuristic,
+                           .permanent_shrink = options.permanent_shrink,
+                           .trace_active_interval = options.trace_active_interval};
   config.checkpoint_interval = checkpoint_interval;
   if (checkpoint_interval > 0) config.checkpoint_store = store;
   if (config.params.algo == SolverAlgo::pbm) {

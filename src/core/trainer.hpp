@@ -29,7 +29,6 @@ struct TrainOptions {
   int num_ranks = 1;
   svmmpi::NetModel net_model{};
   bool permanent_shrink = false;  ///< CA-SVM ablation; see DistributedConfig
-  bool openmp_gamma = false;      ///< hybrid MPI+OpenMP gamma updates
   std::uint64_t trace_active_interval = 0;  ///< see DistributedConfig
 
   // --- observability (src/obs) ---------------------------------------------

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -140,40 +139,6 @@ void write_libsvm_file(const std::string& path, const Dataset& dataset) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open file for writing: " + path);
   write_libsvm(out, dataset);
-}
-
-Dataset read_libsvm_slice(const std::string& path, int rank, int num_ranks) {
-  if (num_ranks <= 0 || rank < 0 || rank >= num_ranks)
-    throw std::runtime_error("read_libsvm_slice: invalid rank/num_ranks");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open libsvm file: " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff file_size = in.tellg();
-
-  // Nominal byte range; each boundary > 0 advances past the next newline so
-  // a line is owned by the slice in which it *starts*.
-  const std::streamoff nominal_begin = file_size * rank / num_ranks;
-  const std::streamoff nominal_end = file_size * (rank + 1) / num_ranks;
-  auto align = [&](std::streamoff offset) -> std::streamoff {
-    if (offset == 0) return 0;
-    in.clear();  // a previous call may have scanned to EOF
-    in.seekg(offset - 1);  // check whether we landed exactly after a newline
-    char c = 0;
-    while (in.get(c) && c != '\n') {
-    }
-    if (!in) return file_size;  // boundary inside the unterminated last line
-    return static_cast<std::streamoff>(in.tellg());
-  };
-  const std::streamoff begin = align(nominal_begin);
-  const std::streamoff end = align(nominal_end);
-  if (begin >= end) return Dataset{};
-
-  in.clear();
-  in.seekg(begin);
-  std::string slice(static_cast<std::size_t>(end - begin), '\0');
-  in.read(slice.data(), end - begin);
-  std::istringstream stream(slice);
-  return read_libsvm(stream);
 }
 
 }  // namespace svmdata

@@ -32,18 +32,4 @@ struct LibsvmReadOptions {
 void write_libsvm(std::ostream& out, const Dataset& dataset);
 void write_libsvm_file(const std::string& path, const Dataset& dataset);
 
-/// Parallel-IO building block: reads only the rows whose lines fall in rank
-/// `rank`'s byte slice of the file. The file is cut into `num_ranks` equal
-/// byte ranges; each boundary is advanced to the next newline so every line
-/// belongs to exactly one rank. Concatenating the slices for ranks 0..p-1
-/// reproduces read_libsvm_file exactly, in file order:
-///
-///   // SPMD: each rank parses its slice, then the blocks are exchanged
-///   Dataset mine = read_libsvm_slice(path, comm.rank(), comm.size());
-///
-/// Labels are mapped to ±1 *per slice* with the same first-seen rule as
-/// read_libsvm; for files with {+1,-1} or {0,1}-style labels this is
-/// globally consistent. Throws std::runtime_error on IO or parse errors.
-[[nodiscard]] Dataset read_libsvm_slice(const std::string& path, int rank, int num_ranks);
-
 }  // namespace svmdata

@@ -1,38 +1,6 @@
 #include "kernel/kernel_cache.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace svmkernel {
-
-std::size_t KernelRowCache::entry_bytes(std::size_t len) const noexcept {
-  switch (flavor_) {
-    case RowFlavor::f64:
-    case RowFlavor::f32: return len * sizeof(float);
-    case RowFlavor::f16: return len * sizeof(std::uint16_t);
-    case RowFlavor::i8: return len * sizeof(std::int8_t) + sizeof(float);  // + scale
-  }
-  return len * sizeof(float);
-}
-
-std::span<const float> KernelRowCache::decode(const Entry& e) {
-  switch (flavor_) {
-    case RowFlavor::f64:
-    case RowFlavor::f32: return e.f32;
-    case RowFlavor::f16: {
-      scratch_.resize(e.len);
-      for (std::size_t j = 0; j < e.len; ++j) scratch_[j] = simd::half_to_float(e.f16[j]);
-      return scratch_;
-    }
-    case RowFlavor::i8: {
-      scratch_.resize(e.len);
-      for (std::size_t j = 0; j < e.len; ++j)
-        scratch_[j] = e.i8_scale * static_cast<float>(e.i8[j]);
-      return scratch_;
-    }
-  }
-  return {};
-}
 
 std::span<const float> KernelRowCache::lookup(std::size_t index) {
   pinned_ = kNoPin;  // a new lookup releases the previous pin
@@ -44,58 +12,29 @@ std::span<const float> KernelRowCache::lookup(std::size_t index) {
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to most recent
   pinned_ = index;
-  return decode(*it->second);
+  return it->second->row;
 }
 
 void KernelRowCache::insert(std::size_t index, std::span<const float> row) {
   const auto existing = map_.find(index);
   if (existing != map_.end()) {
-    bytes_used_ -= entry_bytes(existing->second->len);
+    bytes_used_ -= entry_bytes(*existing->second);
     if (pinned_ == index) pinned_ = kNoPin;  // caller overwrote its own pinned row
     lru_.erase(existing->second);
     map_.erase(existing);
   }
-  const std::size_t row_bytes = entry_bytes(row.size());
+  const std::size_t row_bytes = row.size() * sizeof(float);
   // Evict from the LRU tail, skipping the pinned entry: the span returned by
   // the last lookup() must stay valid until the next lookup().
   auto victim = lru_.end();
   while (victim != lru_.begin() && bytes_used_ + row_bytes > budget_bytes_) {
     --victim;
     if (victim->index == pinned_) continue;
-    bytes_used_ -= entry_bytes(victim->len);
+    bytes_used_ -= entry_bytes(*victim);
     map_.erase(victim->index);
     victim = lru_.erase(victim);
   }
-  Entry e;
-  e.index = index;
-  e.len = row.size();
-  switch (flavor_) {
-    case RowFlavor::f64:
-    case RowFlavor::f32: e.f32.assign(row.begin(), row.end()); break;
-    case RowFlavor::f16: {
-      e.f16.resize(row.size());
-      for (std::size_t j = 0; j < row.size(); ++j) e.f16[j] = simd::float_to_half(row[j]);
-      break;
-    }
-    case RowFlavor::i8: {
-      // Q rows are kernel values (bounded, dense-ish); symmetric scaling
-      // keeps exact zeros exact and needs no offset term on decode.
-      float amax = 0.0f;
-      for (const float v : row) amax = std::max(amax, std::abs(v));
-      e.i8_scale = amax / 127.0f;
-      e.i8.resize(row.size());
-      if (e.i8_scale == 0.0f) {
-        std::fill(e.i8.begin(), e.i8.end(), std::int8_t{0});
-      } else {
-        for (std::size_t j = 0; j < row.size(); ++j) {
-          long code = std::lround(row[j] / e.i8_scale);
-          e.i8[j] = static_cast<std::int8_t>(std::clamp(code, long{-127}, long{127}));
-        }
-      }
-      break;
-    }
-  }
-  lru_.push_front(std::move(e));
+  lru_.push_front(Entry{index, std::vector<float>(row.begin(), row.end())});
   map_[index] = lru_.begin();
   bytes_used_ += row_bytes;
 }

@@ -4,36 +4,24 @@
 // eviction is least-recently-used, matching libsvm's Cache class semantics.
 // Hit/miss counters feed the kernel-cache ablation bench.
 //
-// Rows arrive and are served as float spans, but the RESIDENT encoding is
-// selected by a RowFlavor: f64/f32 keep the floats as-is (4 B/value, the
-// legacy zero-copy layout), f16 stores binary16 (2 B/value), i8 stores
-// symmetric per-row int8 quantization (1 B/value + one scale). The byte
-// budget charges the ACTUAL encoded bytes, so an i8 cache holds ~4x the rows
-// of an f32 cache under the same budget. Compact flavors decode on lookup
-// into a member scratch buffer; the usual span lifetime contract (valid
-// until the next lookup()/clear()) is unchanged. Quantization is applied on
-// insert, so the row a miss-and-insert call sees is bitwise the row every
-// later hit sees — solver trajectories stay deterministic per flavor.
+// Rows are stored and served as exact float spans; the byte budget charges
+// 4 bytes per value.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "kernel/row_store.hpp"
-
 namespace svmkernel {
 
 class KernelRowCache {
  public:
-  /// `budget_bytes` bounds the summed ENCODED size of cached rows; a single
-  /// row larger than the budget is still admitted alone (libsvm behaviour).
-  /// `flavor` selects the resident encoding (f64 and f32 both mean plain
-  /// float storage — rows already arrive rounded to float).
-  explicit KernelRowCache(std::size_t budget_bytes, RowFlavor flavor = RowFlavor::f32)
-      : budget_bytes_(budget_bytes), flavor_(flavor) {}
+  /// `budget_bytes` bounds the summed size of cached rows; a single row
+  /// larger than the budget is still admitted alone (libsvm behaviour).
+  explicit KernelRowCache(std::size_t budget_bytes) : budget_bytes_(budget_bytes) {}
 
   /// Looks up the row for sample `index`. On hit, returns a view and bumps
   /// recency. On miss, returns an empty span; call insert() with the data.
@@ -46,18 +34,16 @@ class KernelRowCache {
   /// previous pin, so callers that need two live rows must copy the first.
   [[nodiscard]] std::span<const float> lookup(std::size_t index);
 
-  /// Inserts a row (copies + encodes per flavor), evicting LRU entries until
-  /// within budget. The entry pinned by the latest lookup() is never
-  /// evicted; the inserted row itself becomes most-recent but is not pinned.
+  /// Inserts a copy of a row, evicting LRU entries until within budget. The
+  /// entry pinned by the latest lookup() is never evicted; the inserted row
+  /// itself becomes most-recent but is not pinned.
   void insert(std::size_t index, std::span<const float> row);
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-  /// Encoded bytes currently resident (what the budget is charged against).
+  /// Bytes currently resident (what the budget is charged against).
   [[nodiscard]] std::size_t bytes_used() const noexcept { return bytes_used_; }
-  [[nodiscard]] std::size_t bytes_resident() const noexcept { return bytes_used_; }
   [[nodiscard]] std::size_t entries() const noexcept { return map_.size(); }
-  [[nodiscard]] RowFlavor flavor() const noexcept { return flavor_; }
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits_ + misses_;
     return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
@@ -68,24 +54,19 @@ class KernelRowCache {
  private:
   struct Entry {
     std::size_t index;
-    std::size_t len;                   ///< decoded element count
-    std::vector<float> f32;            ///< f64/f32 flavors
-    std::vector<std::uint16_t> f16;    ///< f16 flavor
-    std::vector<std::int8_t> i8;       ///< i8 flavor (symmetric, per-row scale)
-    float i8_scale = 0.0f;
+    std::vector<float> row;
   };
 
-  [[nodiscard]] std::size_t entry_bytes(std::size_t len) const noexcept;
-  [[nodiscard]] std::span<const float> decode(const Entry& e);
+  [[nodiscard]] static std::size_t entry_bytes(const Entry& e) noexcept {
+    return e.row.size() * sizeof(float);
+  }
 
   static constexpr std::size_t kNoPin = static_cast<std::size_t>(-1);
 
   std::size_t budget_bytes_;
-  RowFlavor flavor_;
   std::size_t bytes_used_ = 0;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::size_t, std::list<Entry>::iterator> map_;
-  std::vector<float> scratch_;  ///< decode target for compact flavors
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::size_t pinned_ = kNoPin;  ///< index of the entry the last lookup() returned

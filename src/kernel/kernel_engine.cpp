@@ -58,16 +58,11 @@ void KernelEngine::init_path(EngineBackend requested, std::size_t norm_end,
     backend_ = dense || flavor_ != RowFlavor::f64 ? EngineBackend::simd
                                                   : EngineBackend::dense_scatter;
   }
-  if (flavor_ != RowFlavor::f64 && backend_ == EngineBackend::reference)
-    throw std::invalid_argument("KernelEngine: the reference path is exact; flavored rows ('" +
-                                to_string(flavor_) + "') need panels or a Q-row cache");
-  if (flavor_ != RowFlavor::f64 && backend_ == EngineBackend::dense_scatter &&
-      cache_budget_bytes == 0)
-    throw std::invalid_argument(
-        "KernelEngine: flavored dense_scatter rows need a cache budget (only cached Q rows "
-        "are encoded; without a cache there is nothing to flavor)");
-  if (cache_budget_bytes > 0)
-    cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes, flavor_);
+  if (flavor_ != RowFlavor::f64 && backend_ != EngineBackend::simd)
+    throw std::invalid_argument("KernelEngine: flavored rows ('" + to_string(flavor_) +
+                                "') live only in the panels; the " + to_string(backend_) +
+                                " path is exact");
+  if (cache_budget_bytes > 0) cache_ = std::make_unique<KernelRowCache>(cache_budget_bytes);
   if (backend_ == EngineBackend::simd)
     store_ = std::make_unique<RowStore>(X_, norm_begin_, norm_end, flavor_);
 }
@@ -140,10 +135,8 @@ std::uint64_t KernelEngine::payload_bytes(std::span<const std::uint32_t> rows,
 void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double sq_up,
                                   std::span<const svmdata::Feature> low, double sq_low,
                                   std::span<const std::uint32_t> rows, std::size_t base,
-                                  std::span<double> out_up, std::span<double> out_low,
-                                  bool parallel) {
+                                  std::span<double> out_up, std::span<double> out_low) {
   svmobs::TraceSpan span("engine_pair_batch", "kernel");
-  const auto count = static_cast<std::ptrdiff_t>(rows.size());
   stats_.pair_evals += rows.size();
   stats_.bytes_streamed +=
       store_ ? rows.size() * store_->row_bytes() : payload_bytes(rows, base);
@@ -151,13 +144,12 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
   if (backend_ == EngineBackend::reference) {
     // Ground truth: two sparse merge joins per sample, as the pre-engine
     // solvers did. Kernel::eval bumps the evaluation counter itself.
-#pragma omp parallel for schedule(static) if (parallel)
-    for (std::ptrdiff_t k = 0; k < count; ++k) {
-      const std::size_t g = base + rows[static_cast<std::size_t>(k)];
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::size_t g = base + rows[k];
       const auto row = X_.row(g);
       const double sq = sq_norm(g);
-      out_up[static_cast<std::size_t>(k)] = kernel_.eval(up, row, sq_up, sq);
-      out_low[static_cast<std::size_t>(k)] = kernel_.eval(low, row, sq_low, sq);
+      out_up[k] = kernel_.eval(up, row, sq_up, sq);
+      out_low[k] = kernel_.eval(low, row, sq_low, sq);
     }
     return;
   }
@@ -165,7 +157,7 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
   if (backend_ == EngineBackend::simd) {
     fill_query_vec(qa_vec_, up);
     fill_query_vec(qb_vec_, low);
-    simd_pair_indexed(rows, base, sq_up, sq_low, out_up, out_low, parallel);
+    simd_pair_indexed(rows, base, sq_up, sq_low, out_up, out_low);
     kernel_.note_evaluations(2 * rows.size());
     clear_query_vec(qa_vec_, up);
     clear_query_vec(qb_vec_, low);
@@ -178,9 +170,8 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
   scatter(up, 0, 2);
   scatter(low, 1, 2);
   stats_.scatter_builds += 2;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t k = 0; k < count; ++k) {
-    const std::size_t g = base + rows[static_cast<std::size_t>(k)];
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::size_t g = base + rows[k];
     double du = 0.0;
     double dl = 0.0;
     for (const svmdata::Feature& f : X_.row(g)) {
@@ -189,8 +180,8 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
       dl += f.value * lane[1];
     }
     const double sq = sq_norm(g);
-    out_up[static_cast<std::size_t>(k)] = kernel_.finish_from_dot(du, sq_up, sq);
-    out_low[static_cast<std::size_t>(k)] = kernel_.finish_from_dot(dl, sq_low, sq);
+    out_up[k] = kernel_.finish_from_dot(du, sq_up, sq);
+    out_low[k] = kernel_.finish_from_dot(dl, sq_low, sq);
   }
   kernel_.note_evaluations(2 * rows.size());
   unscatter(up, 0, 2);
@@ -200,11 +191,8 @@ void KernelEngine::eval_pair_rows(std::span<const svmdata::Feature> up, double s
 void KernelEngine::eval_pair_range(std::span<const svmdata::Feature> up, double sq_up,
                                    std::span<const svmdata::Feature> low, double sq_low,
                                    std::size_t begin, std::size_t end,
-                                   std::span<double> out_up, std::span<double> out_low,
-                                   bool parallel) {
+                                   std::span<double> out_up, std::span<double> out_low) {
   svmobs::TraceSpan span("engine_pair_batch", "kernel");
-  const auto first = static_cast<std::ptrdiff_t>(begin);
-  const auto last = static_cast<std::ptrdiff_t>(end);
   stats_.pair_evals += end - begin;
   if (store_) {
     stats_.bytes_streamed += (end - begin) * store_->row_bytes();
@@ -214,9 +202,7 @@ void KernelEngine::eval_pair_range(std::span<const svmdata::Feature> up, double 
   }
 
   if (backend_ == EngineBackend::reference) {
-#pragma omp parallel for schedule(static) if (parallel)
-    for (std::ptrdiff_t k = first; k < last; ++k) {
-      const auto g = static_cast<std::size_t>(k);
+    for (std::size_t g = begin; g < end; ++g) {
       const auto row = X_.row(g);
       const double sq = sq_norm(g);
       out_up[g - begin] = kernel_.eval(up, row, sq_up, sq);
@@ -228,7 +214,7 @@ void KernelEngine::eval_pair_range(std::span<const svmdata::Feature> up, double 
   if (backend_ == EngineBackend::simd) {
     fill_query_vec(qa_vec_, up);
     fill_query_vec(qb_vec_, low);
-    simd_pair_range(begin, end, sq_up, sq_low, out_up, out_low, parallel);
+    simd_pair_range(begin, end, sq_up, sq_low, out_up, out_low);
     kernel_.note_evaluations(2 * (end - begin));
     clear_query_vec(qa_vec_, up);
     clear_query_vec(qb_vec_, low);
@@ -239,9 +225,7 @@ void KernelEngine::eval_pair_range(std::span<const svmdata::Feature> up, double 
   scatter(up, 0, 2);
   scatter(low, 1, 2);
   stats_.scatter_builds += 2;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t k = first; k < last; ++k) {
-    const auto g = static_cast<std::size_t>(k);
+  for (std::size_t g = begin; g < end; ++g) {
     double du = 0.0;
     double dl = 0.0;
     for (const svmdata::Feature& f : X_.row(g)) {
@@ -259,11 +243,8 @@ void KernelEngine::eval_pair_range(std::span<const svmdata::Feature> up, double 
 }
 
 void KernelEngine::eval_rows(std::span<const svmdata::Feature> query, double sq_query,
-                             std::size_t begin, std::size_t end, std::span<double> out,
-                             bool parallel) {
+                             std::size_t begin, std::size_t end, std::span<double> out) {
   svmobs::TraceSpan span("engine_row_batch", "kernel");
-  const auto first = static_cast<std::ptrdiff_t>(begin);
-  const auto last = static_cast<std::ptrdiff_t>(end);
   stats_.single_evals += end - begin;
   if (store_) {
     stats_.bytes_streamed += (end - begin) * store_->row_bytes();
@@ -273,17 +254,14 @@ void KernelEngine::eval_rows(std::span<const svmdata::Feature> query, double sq_
   }
 
   if (backend_ == EngineBackend::reference) {
-#pragma omp parallel for schedule(static) if (parallel)
-    for (std::ptrdiff_t k = first; k < last; ++k) {
-      const auto g = static_cast<std::size_t>(k);
+    for (std::size_t g = begin; g < end; ++g)
       out[g - begin] = kernel_.eval(X_.row(g), query, sq_norm(g), sq_query);
-    }
     return;
   }
 
   if (backend_ == EngineBackend::simd) {
     fill_query_vec(qa_vec_, query);
-    simd_single_range(begin, end, sq_query, out, parallel);
+    simd_single_range(begin, end, sq_query, out);
     kernel_.note_evaluations(end - begin);
     clear_query_vec(qa_vec_, query);
     return;
@@ -292,9 +270,7 @@ void KernelEngine::eval_rows(std::span<const svmdata::Feature> query, double sq_
   ensure_dense(1);
   scatter(query, 0, 1);
   stats_.scatter_builds += 1;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t k = first; k < last; ++k) {
-    const auto g = static_cast<std::size_t>(k);
+  for (std::size_t g = begin; g < end; ++g) {
     double d = 0.0;
     for (const svmdata::Feature& f : X_.row(g))
       d += f.value * dense_[static_cast<std::size_t>(f.index)];
@@ -307,8 +283,7 @@ void KernelEngine::eval_rows(std::span<const svmdata::Feature> query, double sq_
 void KernelEngine::eval_block_rows(
     std::span<const std::span<const svmdata::Feature>> block_rows,
     std::span<const double> block_sq_norms, std::span<const double> block_coeffs,
-    std::span<const std::uint32_t> rows, std::size_t base, std::span<double> accum,
-    bool parallel) {
+    std::span<const std::uint32_t> rows, std::size_t base, std::span<double> accum) {
   svmobs::TraceSpan span("engine_block_batch", "kernel");
   const std::size_t stale = rows.size();
   const std::size_t block = block_rows.size();
@@ -334,9 +309,9 @@ void KernelEngine::eval_block_rows(
   if (backend_ == EngineBackend::simd) {
     // Panel orientation: the stale side already lives in the RowStore, so
     // each circulating block row becomes the prepared query and the store is
-    // swept one panel per run of stale rows. The j loop stays serial, so
-    // every partial accumulates in ascending j — the scalar orientations'
-    // order, so f64 stays bit-identical — and `parallel` splits the runs.
+    // swept one panel per run of stale rows. Every partial accumulates in
+    // ascending j — the scalar orientations' order, so f64 stays
+    // bit-identical.
     constexpr std::size_t kP = RowStore::kPanel;
     const std::size_t runs = build_panel_runs(rows, base);
     block_partials_.assign(stale, 0.0);
@@ -345,7 +320,7 @@ void KernelEngine::eval_block_rows(
       store_->prepare_query(qa_vec_);
       const double coeff = block_coeffs[j];
       const double sq_block = block_sq_norms[j];
-      const auto add_run = [&](std::size_t r) {
+      for (std::size_t r = 0; r < runs; ++r) {
         const std::size_t first = panel_runs_[r];
         double d[kP];
         store_->panel_dots((base + rows[first] - norm_begin_) / kP, d);
@@ -354,13 +329,6 @@ void KernelEngine::eval_block_rows(
           block_partials_[w] +=
               coeff * kernel_.finish_from_dot(d[local % kP], sq_block, store_sq(local));
         }
-      };
-      if (parallel) {
-#pragma omp parallel for schedule(static)
-        for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(runs); ++r)
-          add_run(static_cast<std::size_t>(r));
-      } else {
-        for (std::size_t r = 0; r < runs; ++r) add_run(r);
       }
       clear_query_vec(qa_vec_, block_rows[j]);
     }
@@ -372,34 +340,24 @@ void KernelEngine::eval_block_rows(
   }
 
   ensure_dense(1);
-  // Adaptive orientation: scatter whichever side is smaller. Ties go to the
-  // block side, whose orientation parallelizes the (per-element independent)
-  // stale dimension instead of needing a K-value scratch pass.
+  // Adaptive orientation: scatter whichever side is smaller (ties go to the
+  // block side).
   if (block <= stale) {
     // Scatter each circulating block row once; stream all stale rows
     // against it. Outer j loop is serial, so accum[w]'s additions happen in
     // increasing j order via the partials buffer.
     block_partials_.assign(stale, 0.0);
-    const auto last = static_cast<std::ptrdiff_t>(stale);
     for (std::size_t j = 0; j < block; ++j) {
       scatter(block_rows[j], 0, 1);
       stats_.scatter_builds += 1;
       const double coeff = block_coeffs[j];
       const double sq_block = block_sq_norms[j];
-      const auto add_row = [&](std::size_t w) {
+      for (std::size_t w = 0; w < stale; ++w) {
         const std::size_t g = base + rows[w];
         double d = 0.0;
         for (const svmdata::Feature& f : X_.row(g))
           d += f.value * dense_[static_cast<std::size_t>(f.index)];
         block_partials_[w] += coeff * kernel_.finish_from_dot(d, sq_block, sq_norm(g));
-      };
-      if (parallel) {
-#pragma omp parallel for schedule(static)
-        for (std::ptrdiff_t k = 0; k < last; ++k) add_row(static_cast<std::size_t>(k));
-      } else {
-        // No pragma on the sequential path: entering an OpenMP region with a
-        // one-thread team is measurable overhead at ring-step granularity.
-        for (std::size_t w = 0; w < stale; ++w) add_row(w);
       }
       unscatter(block_rows[j], 0, 1);
     }
@@ -416,15 +374,6 @@ void KernelEngine::eval_block_rows(
     for (std::size_t j = 0; j < block; ++j)
       block_bytes += block_rows[j].size() * sizeof(svmdata::Feature);
     const std::size_t cols = X_.cols();
-    const auto last = static_cast<std::ptrdiff_t>(block);
-    const auto dot_row = [&](std::size_t j) {
-      double d = 0.0;
-      for (const svmdata::Feature& f : block_rows[j]) {
-        const auto idx = static_cast<std::size_t>(f.index);
-        if (idx < cols) d += f.value * dense_[idx];
-      }
-      return d;
-    };
     for (std::size_t w = 0; w < stale; ++w) {
       const std::size_t g = base + rows[w];
       const auto stale_row = X_.row(g);
@@ -433,23 +382,13 @@ void KernelEngine::eval_block_rows(
       stats_.scatter_builds += 1;
       stats_.bytes_streamed += block_bytes;
       double partial = 0.0;
-      if (parallel) {
-        // K values land in a scratch in parallel, then the coefficient
-        // reduction walks them serially in increasing j order so the partial
-        // matches the sequential loop bitwise.
-        block_kvals_.resize(block);
-#pragma omp parallel for schedule(static)
-        for (std::ptrdiff_t k = 0; k < last; ++k) {
-          const auto j = static_cast<std::size_t>(k);
-          block_kvals_[j] = kernel_.finish_from_dot(dot_row(j), block_sq_norms[j], sq_stale);
+      for (std::size_t j = 0; j < block; ++j) {
+        double d = 0.0;
+        for (const svmdata::Feature& f : block_rows[j]) {
+          const auto idx = static_cast<std::size_t>(f.index);
+          if (idx < cols) d += f.value * dense_[idx];
         }
-        for (std::size_t j = 0; j < block; ++j) partial += block_coeffs[j] * block_kvals_[j];
-      } else {
-        // Fused single pass, same accumulation order (and bit pattern) as
-        // the scratch variant without its extra memory sweep.
-        for (std::size_t j = 0; j < block; ++j)
-          partial +=
-              block_coeffs[j] * kernel_.finish_from_dot(dot_row(j), block_sq_norms[j], sq_stale);
+        partial += block_coeffs[j] * kernel_.finish_from_dot(d, block_sq_norms[j], sq_stale);
       }
       unscatter(stale_row, 0, 1);
       accum[w] += partial;
@@ -460,15 +399,14 @@ void KernelEngine::eval_block_rows(
 
 void KernelEngine::eval_block_rows(std::span<const std::span<const svmdata::Feature>> queries,
                                    std::span<const double> query_sq_norms,
-                                   std::span<const double> coeffs, std::span<double> out,
-                                   bool parallel) {
+                                   std::span<const double> coeffs, std::span<double> out) {
   svmobs::TraceSpan span("engine_predict_batch", "kernel");
   // Each query is exactly one accumulate_rows scope (bit-identical by
   // construction); batching here buys the serving batcher one engine call
   // per micro-batch and, on the panel path, one store sweep per query instead of a
   // per-support-vector scatter loop.
   for (std::size_t q = 0; q < queries.size(); ++q)
-    out[q] = accumulate_rows(queries[q], query_sq_norms[q], coeffs, parallel);
+    out[q] = accumulate_rows(queries[q], query_sq_norms[q], coeffs);
 }
 
 void KernelEngine::set_row_scale(std::span<const double> scale) {
@@ -573,16 +511,13 @@ std::size_t KernelEngine::build_panel_runs(std::span<const std::uint32_t> rows,
 
 void KernelEngine::simd_pair_indexed(std::span<const std::uint32_t> rows, std::size_t base,
                                      double sq_up, double sq_low, std::span<double> out_up,
-                                     std::span<double> out_low, bool parallel) {
+                                     std::span<double> out_low) {
   store_->prepare_query(qa_vec_, qb_vec_);
   constexpr std::size_t kP = RowStore::kPanel;
-  const auto runs = static_cast<std::ptrdiff_t>(build_panel_runs(rows, base));
-  // Runs are independent given the prepared (read-only) query state, so they
-  // parallelize like simd_pair_range's panel loop; per-thread stack outputs.
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t r = 0; r < runs; ++r) {
-    const std::size_t first = panel_runs_[static_cast<std::size_t>(r)];
-    const std::size_t last = panel_runs_[static_cast<std::size_t>(r) + 1];
+  const std::size_t runs = build_panel_runs(rows, base);
+  for (std::size_t r = 0; r < runs; ++r) {
+    const std::size_t first = panel_runs_[r];
+    const std::size_t last = panel_runs_[r + 1];
     double oa[kP];
     double ob[kP];
     store_->panel_dots((base + rows[first] - norm_begin_) / kP, oa, ob);
@@ -593,23 +528,19 @@ void KernelEngine::simd_pair_indexed(std::span<const std::uint32_t> rows, std::s
       out_low[k] = kernel_.finish_from_dot(ob[local % kP], sq_low, sq);
     }
   }
-  stats_.panel_dots += static_cast<std::uint64_t>(runs);
+  stats_.panel_dots += runs;
 }
 
 void KernelEngine::simd_pair_range(std::size_t begin, std::size_t end, double sq_up,
                                    double sq_low, std::span<double> out_up,
-                                   std::span<double> out_low, bool parallel) {
+                                   std::span<double> out_low) {
   store_->prepare_query(qa_vec_, qb_vec_);
   constexpr std::size_t kP = RowStore::kPanel;
   const std::size_t lo = begin - norm_begin_;
   const std::size_t hi = end - norm_begin_;
-  const auto plo = static_cast<std::ptrdiff_t>(lo / kP);
-  const auto phi = static_cast<std::ptrdiff_t>((hi + kP - 1) / kP);
-  // Panels are independent given the prepared (read-only) query state, so
-  // the panel loop parallelizes cleanly; per-thread stack outputs.
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t pp = plo; pp < phi; ++pp) {
-    const auto p = static_cast<std::size_t>(pp);
+  const std::size_t plo = lo / kP;
+  const std::size_t phi = (hi + kP - 1) / kP;
+  for (std::size_t p = plo; p < phi; ++p) {
     double oa[kP];
     double ob[kP];
     store_->panel_dots(p, oa, ob);
@@ -622,20 +553,18 @@ void KernelEngine::simd_pair_range(std::size_t begin, std::size_t end, double sq
       out_low[local - lo] = kernel_.finish_from_dot(ob[lane], sq_low, sq);
     }
   }
-  stats_.panel_dots += static_cast<std::uint64_t>(phi - plo);
+  stats_.panel_dots += phi - plo;
 }
 
 void KernelEngine::simd_single_range(std::size_t begin, std::size_t end, double sq_query,
-                                     std::span<double> out, bool parallel) {
+                                     std::span<double> out) {
   store_->prepare_query(qa_vec_);
   constexpr std::size_t kP = RowStore::kPanel;
   const std::size_t lo = begin - norm_begin_;
   const std::size_t hi = end - norm_begin_;
-  const auto plo = static_cast<std::ptrdiff_t>(lo / kP);
-  const auto phi = static_cast<std::ptrdiff_t>((hi + kP - 1) / kP);
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t pp = plo; pp < phi; ++pp) {
-    const auto p = static_cast<std::size_t>(pp);
+  const std::size_t plo = lo / kP;
+  const std::size_t phi = (hi + kP - 1) / kP;
+  for (std::size_t p = plo; p < phi; ++p) {
     double d[kP];
     store_->panel_dots(p, d);
     const std::size_t first = std::max(lo, p * kP);
@@ -643,29 +572,27 @@ void KernelEngine::simd_single_range(std::size_t begin, std::size_t end, double 
     for (std::size_t local = first; local < last; ++local)
       out[local - lo] = kernel_.finish_from_dot(d[local - p * kP], sq_query, store_sq(local));
   }
-  stats_.panel_dots += static_cast<std::uint64_t>(phi - plo);
+  stats_.panel_dots += phi - plo;
 }
 
 double KernelEngine::accumulate_rows(std::span<const svmdata::Feature> query,
-                                     double sq_query, std::span<const double> coeffs,
-                                     bool parallel) {
+                                     double sq_query, std::span<const double> coeffs) {
   const std::size_t n = coeffs.size();
 
   if (backend_ != EngineBackend::simd) {
     // The query's kernel row (eval_rows opens the trace span and counts the
     // work), then the coefficient reduction in ascending row order.
-    block_kvals_.resize(n);
-    eval_rows(query, sq_query, norm_begin_, norm_begin_ + n, block_kvals_, parallel);
+    kvals_.resize(n);
+    eval_rows(query, sq_query, norm_begin_, norm_begin_ + n, kvals_);
     double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) sum += coeffs[j] * block_kvals_[j];
+    for (std::size_t j = 0; j < n; ++j) sum += coeffs[j] * kvals_[j];
     return sum;
   }
 
   // Panel sweep with an ordered (ascending-row) coefficient reduction: same
   // per-term operations and order as the scalar path above, so f64 stays
-  // bit-identical. The reduction order requirement rules out parallelism.
+  // bit-identical.
   svmobs::TraceSpan span("engine_row_batch", "kernel");
-  (void)parallel;
   stats_.single_evals += n;
   stats_.bytes_streamed += n * store_->row_bytes();
   constexpr std::size_t kP = RowStore::kPanel;

@@ -27,15 +27,13 @@
 //   simd           the engine's norm-range rows materialized in a dense
 //                  panel RowStore (lane-per-row, see row_store.hpp) and
 //                  evaluated with the runtime-dispatched SIMD kernels.
-// A cache budget > 0 turns on the Q-row cache behind k_row_floats on any
-// path.
+// A cache budget > 0 turns on the exact float Q-row cache behind
+// k_row_floats on any path.
 //
 // Row flavors (RowFlavor, row_store.hpp) select the resident precision of
-// the panels and of cached Q rows: f64 is exact; f32/f16/i8 trade precision
-// for footprint and bandwidth. reference only accepts f64, and
-// dense_scatter accepts a reduced flavor only for its Q-row cache (the
-// libsvm-style baselines' compressed Q rows). Training always runs f64, so
-// optimization stays bit-exact double — flavors are a prediction/Q-cache
+// the panels: f64 is exact; f32/f16/i8 trade precision for footprint and
+// bandwidth, so only the panel path accepts them. Training always runs f64,
+// so optimization stays bit-exact double — flavors are a prediction
 // feature, accuracy-gated by tests and bench_precision.
 //
 // Parity guarantee: dense_scatter is BIT-IDENTICAL to reference, not merely
@@ -62,9 +60,10 @@
 // preserving f64 bit-identity.
 //
 // Thread safety: an engine is mutable per-call state (scatter buffers,
-// counters) — use one engine per rank / per thread. The `parallel` flags
-// parallelize INSIDE a call with OpenMP; that is safe because the dense
-// buffer is read-only while worker threads stream rows.
+// counters) — use one engine per rank / per thread. Only k_row_floats'
+// `parallel` flag (the libsvm-enhanced baseline's OpenMP row fill) runs
+// threads inside a call; that is safe because the dense buffer is
+// read-only while they stream rows.
 #pragma once
 
 #include <cstdint>
@@ -114,9 +113,9 @@ class KernelEngine {
   /// local block); squared norms for that slice are computed on
   /// construction, and `automatic` resolves from that slice's density.
   /// `cache_budget_bytes` > 0 enables the Q-row cache used by k_row_floats.
-  /// `flavor` selects the resident row precision of the panels / cached Q
-  /// rows. The engine keeps references to `kernel` and `X` — both must
-  /// outlive it.
+  /// `flavor` selects the resident row precision of the panels; a reduced
+  /// flavor needs the panel path. The engine keeps references to `kernel`
+  /// and `X` — both must outlive it.
   KernelEngine(const Kernel& kernel, const svmdata::CsrMatrix& X, EngineBackend backend,
                std::size_t norm_begin, std::size_t norm_end,
                std::size_t cache_budget_bytes = 0, RowFlavor flavor = RowFlavor::f64);
@@ -143,10 +142,6 @@ class KernelEngine {
   [[nodiscard]] std::size_t store_bytes() const noexcept {
     return store_ ? store_->bytes_resident() : 0;
   }
-  /// Encoded bytes currently held by the Q-row cache (0 without one).
-  [[nodiscard]] std::size_t cache_bytes_resident() const noexcept {
-    return cache_ ? cache_->bytes_resident() : 0;
-  }
 
   /// ||X.row(i)||^2 for i in the engine's norm range.
   [[nodiscard]] double sq_norm(std::size_t i) const noexcept {
@@ -169,19 +164,17 @@ class KernelEngine {
   void eval_pair_rows(std::span<const svmdata::Feature> up, double sq_up,
                       std::span<const svmdata::Feature> low, double sq_low,
                       std::span<const std::uint32_t> rows, std::size_t base,
-                      std::span<double> out_up, std::span<double> out_low,
-                      bool parallel = false);
+                      std::span<double> out_up, std::span<double> out_low);
 
   /// Fused pair evaluation over the contiguous rows [begin, end).
   void eval_pair_range(std::span<const svmdata::Feature> up, double sq_up,
                        std::span<const svmdata::Feature> low, double sq_low,
                        std::size_t begin, std::size_t end, std::span<double> out_up,
-                       std::span<double> out_low, bool parallel = false);
+                       std::span<double> out_low);
 
   /// Single-query batch: out[i - begin] = K(query, X.row(i)), i in [begin, end).
   void eval_rows(std::span<const svmdata::Feature> query, double sq_query,
-                 std::size_t begin, std::size_t end, std::span<double> out,
-                 bool parallel = false);
+                 std::size_t begin, std::size_t end, std::span<double> out);
 
   /// Weighted kernel sum over every row in the engine's norm range:
   ///   sum_j coeffs[j] * K(query, X.row(norm_begin + j)),  j ascending.
@@ -191,8 +184,7 @@ class KernelEngine {
   /// sweeps the RowStore panels and reduces in the same order, so the result
   /// is bit-identical across paths at flavor f64.
   [[nodiscard]] double accumulate_rows(std::span<const svmdata::Feature> query,
-                                       double sq_query, std::span<const double> coeffs,
-                                       bool parallel = false);
+                                       double sq_query, std::span<const double> coeffs);
 
   // --- multi-query block batch (reconstruction ring steps) -----------------
 
@@ -211,14 +203,12 @@ class KernelEngine {
   ///
   /// The dense-scatter path scatters whichever side is SMALLER — the adaptive
   /// kernel orientation: min(rows.size(), block_rows.size()) scatter builds
-  /// instead of one per stale sample — and `parallel` OpenMP-parallelizes
-  /// the streamed side (safe: the dense buffer is read-only while worker
-  /// threads stream, and per-w partials keep the accumulation order fixed).
+  /// instead of one per stale sample.
   void eval_block_rows(std::span<const std::span<const svmdata::Feature>> block_rows,
                        std::span<const double> block_sq_norms,
                        std::span<const double> block_coeffs,
                        std::span<const std::uint32_t> rows, std::size_t base,
-                       std::span<double> accum, bool parallel = false);
+                       std::span<double> accum);
 
   /// Serving micro-batch form: score every query against the engine's whole
   /// norm range in one call,
@@ -231,8 +221,7 @@ class KernelEngine {
   /// `query_sq_norms[q]` is ||queries[q]||^2.
   void eval_block_rows(std::span<const std::span<const svmdata::Feature>> queries,
                        std::span<const double> query_sq_norms,
-                       std::span<const double> coeffs, std::span<double> out,
-                       bool parallel = false);
+                       std::span<const double> coeffs, std::span<double> out);
 
   // --- cached float rows (libsvm baseline Q rows) -------------------------
 
@@ -248,7 +237,8 @@ class KernelEngine {
   /// returned span stays valid until the next k_row_floats call (the cache
   /// pins it — see KernelRowCache::lookup). Counts `len` kernel
   /// evaluations on a miss and none on a hit, matching the per-element
-  /// Kernel::eval metric of the unbatched code.
+  /// Kernel::eval metric of the unbatched code. `parallel` fills a missed
+  /// row with OpenMP, the paper's libsvm-enhanced baseline (§V-A).
   [[nodiscard]] std::span<const float> k_row_floats(std::size_t i, std::size_t len,
                                                     bool parallel = false);
 
@@ -277,15 +267,15 @@ class KernelEngine {
   /// Splits an index list into runs of consecutive entries in one panel
   /// (panel_runs_ holds each run's first entry, then rows.size()); returns
   /// the run count. The panel path's indexed sweeps compute one panel per
-  /// run, and parallelize over runs.
+  /// run.
   std::size_t build_panel_runs(std::span<const std::uint32_t> rows, std::size_t base);
   void simd_pair_indexed(std::span<const std::uint32_t> rows, std::size_t base,
                          double sq_up, double sq_low, std::span<double> out_up,
-                         std::span<double> out_low, bool parallel);
+                         std::span<double> out_low);
   void simd_pair_range(std::size_t begin, std::size_t end, double sq_up, double sq_low,
-                       std::span<double> out_up, std::span<double> out_low, bool parallel);
+                       std::span<double> out_up, std::span<double> out_low);
   void simd_single_range(std::size_t begin, std::size_t end, double sq_query,
-                         std::span<double> out, bool parallel);
+                         std::span<double> out);
 
   std::unique_ptr<Kernel> owned_kernel_;  ///< set only by the owning ctor
   const Kernel& kernel_;
@@ -307,10 +297,9 @@ class KernelEngine {
   std::vector<double> scale_;
   std::vector<float> row_scratch_;
   // Scratch reused across calls: eval_block_rows' per-stale-sample partial
-  // sums, and kernel values (a ring step's block in the scatter-stale
-  // orientation, or accumulate_rows' kernel row).
+  // sums, and accumulate_rows' kernel row.
   std::vector<double> block_partials_;
-  std::vector<double> block_kvals_;
+  std::vector<double> kvals_;
   std::unique_ptr<KernelRowCache> cache_;
   std::uint64_t k_row_calls_ = 0;  ///< trace counter-track sampling stride
 

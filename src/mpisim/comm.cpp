@@ -106,9 +106,24 @@ void Comm::convert_timeout(const TimeoutError& timeout) const {
   throw timeout;
 }
 
+std::function<bool()> Comm::recv_interrupt(int source) const {
+  return [this, source] {
+    return world_->context_cancelled(context_id_) || world_->is_failed((*group_)[source]);
+  };
+}
+
+void Comm::account_recv(const Message& m) {
+  // Bind the sender's flow to the (still open) recv span: Perfetto draws
+  // the cross-rank arrow, trace_analyze recovers the happens-before edge.
+  if (m.flow_id != 0) svmobs::trace_flow_finish("msg", "flow", m.flow_id);
+  TrafficStats& s = world_->mutable_stats((*group_)[rank_]);
+  ++s.recvs;
+  s.bytes_received += m.payload.size();
+  s.modeled_seconds += world_->model().pt2pt(m.payload.size());
+}
+
 Message Comm::recv_message(int source, int tag) {
-  if (source != kAnySource && (source < 0 || source >= size()))
-    throw std::out_of_range("svmmpi: recv source out of range");
+  if (source < 0 || source >= size()) throw std::out_of_range("svmmpi: recv source out of range");
   // Spans the blocking wait (and any fault-injected delay); a RankLost /
   // TimeoutError unwind closes it, so stalls show up as long recv spans.
   svmobs::TraceSpan span("recv", "net");
@@ -119,14 +134,9 @@ Message Comm::recv_message(int source, int tag) {
   // predicate fires, and the internal wake converts to the public verdict.
   // A watchdog cancellation of this comm's context wakes the wait the same
   // way and converts to ContextCancelled below.
-  const auto interrupt = [this, source] {
-    if (world_->context_cancelled(context_id_)) return true;
-    if (source == kAnySource) return world_->any_failed() && !dead_members().empty();
-    return world_->is_failed((*group_)[source]);
-  };
   Message m;
   try {
-    m = world_->mailbox((*group_)[rank_]).pop(context_id_, source, tag, interrupt);
+    m = world_->mailbox((*group_)[rank_]).pop(context_id_, source, tag, recv_interrupt(source));
   } catch (const RendezvousInterrupted&) {
     check_cancelled();
     throw_rank_lost();
@@ -134,62 +144,33 @@ Message Comm::recv_message(int source, int tag) {
     check_cancelled();
     convert_timeout(timeout);
   }
-  // Bind the sender's flow to this (still open) recv span: Perfetto draws
-  // the cross-rank arrow, trace_analyze recovers the happens-before edge.
-  if (m.flow_id != 0) svmobs::trace_flow_finish("msg", "flow", m.flow_id);
-  TrafficStats& s = world_->mutable_stats((*group_)[rank_]);
-  ++s.recvs;
-  s.bytes_received += m.payload.size();
-  s.modeled_seconds += world_->model().pt2pt(m.payload.size());
+  account_recv(m);
   return m;
 }
 
 bool Comm::recv_bytes_deadline(std::vector<std::byte>& out, int source, int tag,
                                double deadline_s) {
   if (source < 0 || source >= size())
-    throw std::out_of_range("svmmpi: recv_deadline needs a specific in-range source");
+    throw std::out_of_range("svmmpi: recv_deadline source out of range");
   svmobs::TraceSpan span("recv_deadline", "net");
   check_cancelled();
   (void)faulted_op(FaultSite::recv);
-  // Specific-source interrupt only: the awaited peer dying wakes the wait and
-  // converts to RankLost; unrelated deaths leave the wait (and its deadline)
-  // undisturbed, which is what lets the frontend keep polling a healthy
-  // replica after its sibling was killed.
-  const auto interrupt = [this, source] {
-    if (world_->context_cancelled(context_id_)) return true;
-    return world_->is_failed((*group_)[source]);
-  };
+  // Only the awaited peer's death wakes the wait and converts to RankLost;
+  // unrelated deaths leave the wait (and its deadline) undisturbed, which is
+  // what lets the frontend keep polling a healthy replica after its sibling
+  // was killed.
   Message m;
   try {
     if (!world_->mailbox((*group_)[rank_]).pop_for(context_id_, source, tag, deadline_s,
-                                                   interrupt, m))
+                                                   recv_interrupt(source), m))
       return false;
   } catch (const RendezvousInterrupted&) {
     check_cancelled();
     throw_rank_lost();
   }
-  if (m.flow_id != 0) svmobs::trace_flow_finish("msg", "flow", m.flow_id);
-  TrafficStats& s = world_->mutable_stats((*group_)[rank_]);
-  ++s.recvs;
-  s.bytes_received += m.payload.size();
-  s.modeled_seconds += world_->model().pt2pt(m.payload.size());
+  account_recv(m);
   out = std::move(m.payload);
   return true;
-}
-
-std::vector<std::byte> Comm::recv_bytes(int source, int tag, int* actual_source) {
-  Message m = recv_message(source, tag);
-  if (actual_source != nullptr) *actual_source = m.source;
-  return std::move(m.payload);
-}
-
-void Comm::recv_bytes_into(std::vector<std::byte>& out, int source, int tag,
-                           int* actual_source) {
-  Message m = recv_message(source, tag);
-  if (actual_source != nullptr) *actual_source = m.source;
-  // assign() reuses out's capacity: steady-state ring steps whose payloads
-  // have stabilized in size perform no receive-side allocation.
-  out.assign(m.payload.begin(), m.payload.end());
 }
 
 double Comm::credit_overlap(double compute_s, double comm_s) {

@@ -159,11 +159,10 @@ class Comm {
     send(std::span<const T>(&value, 1), destination, tag);
   }
 
-  /// Blocking receive; returns the payload. `actual_source` (optional)
-  /// receives the sender's rank, useful with kAnySource.
+  /// Blocking receive from rank `source`; returns the payload.
   template <typename T>
-  [[nodiscard]] std::vector<T> recv(int source, int tag = 0, int* actual_source = nullptr) {
-    return detail::from_bytes<T>(recv_bytes(source, tag, actual_source));
+  [[nodiscard]] std::vector<T> recv(int source, int tag = 0) {
+    return detail::from_bytes<T>(recv_message(source, tag).payload);
   }
 
   template <typename T>
@@ -173,14 +172,12 @@ class Comm {
     return v[0];
   }
 
-  /// Deadline-bounded receive from a specific source: waits at most
-  /// `deadline_s` seconds and returns false on expiry instead of throwing —
-  /// a miss is an expected outcome on the serving engine's retry/hedge path,
-  /// so there is no grace poll and no TimeoutError. Still throws RankLost if
-  /// the awaited source is (or becomes) dead while waiting, and
-  /// ContextCancelled if this comm's context is cancelled. `source` must name
-  /// a specific rank (kAnySource is refused: after any member death the
-  /// wildcard interrupt would fire on every wait).
+  /// Deadline-bounded receive: waits at most `deadline_s` seconds and
+  /// returns false on expiry instead of throwing — a miss is an expected
+  /// outcome on the serving engine's retry/hedge path, so there is no grace
+  /// poll and no TimeoutError. Still throws RankLost if the awaited source
+  /// is (or becomes) dead while waiting, and ContextCancelled if this comm's
+  /// context is cancelled.
   template <typename T>
   [[nodiscard]] bool recv_deadline(std::vector<T>& out, int source, int tag, double deadline_s) {
     std::vector<std::byte> bytes;
@@ -200,7 +197,12 @@ class Comm {
   /// `out`, reusing its capacity — steady-state ring steps allocate nothing
   /// on the receive side (the double-buffered reconstruction pipeline).
   [[nodiscard]] Request irecv_into(std::vector<std::byte>& out, int source, int tag = 0) {
-    return Request([this, &out, source, tag] { recv_bytes_into(out, source, tag, nullptr); });
+    return Request([this, &out, source, tag] {
+      // assign() reuses out's capacity: steady-state ring steps whose
+      // payloads have stabilized in size perform no receive-side allocation.
+      const Message m = recv_message(source, tag);
+      out.assign(m.payload.begin(), m.payload.end());
+    });
   }
 
   // --- collectives ---------------------------------------------------------
@@ -327,11 +329,13 @@ class Comm {
   enum class ModelAs { tree, ring };
 
   void send_bytes(std::vector<std::byte> payload, int destination, int tag);
-  [[nodiscard]] std::vector<std::byte> recv_bytes(int source, int tag, int* actual_source);
-  /// recv_bytes variant that copies the payload into `out` (capacity reuse).
-  void recv_bytes_into(std::vector<std::byte>& out, int source, int tag, int* actual_source);
   /// Shared receive core: validated, fault-checked, interrupt-aware pop.
   [[nodiscard]] Message recv_message(int source, int tag);
+  /// A blocked receive's wake condition: the awaited peer `source` was
+  /// marked failed, or this comm's context was cancelled.
+  [[nodiscard]] std::function<bool()> recv_interrupt(int source) const;
+  /// Books a delivered message: trace flow end, receive counters, model.
+  void account_recv(const Message& m);
   /// Deadline-bounded receive core behind recv_deadline<T>.
   [[nodiscard]] bool recv_bytes_deadline(std::vector<std::byte>& out, int source, int tag,
                                          double deadline_s);

@@ -18,10 +18,7 @@ void Mailbox::push(Message message) {
 bool Mailbox::find_match_locked(int context, int source, int tag, std::size_t& index) const {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const Message& m = queue_[i];
-    const bool context_ok = m.context == context;
-    const bool source_ok = source == kAnySource || m.source == source;
-    const bool tag_ok = tag == kAnyTag || m.tag == tag;
-    if (context_ok && source_ok && tag_ok) {
+    if (m.context == context && m.source == source && m.tag == tag) {
       index = i;
       return true;
     }

@@ -1,7 +1,7 @@
 // Point-to-point message transport: one Mailbox per destination rank.
-// Messages are tagged byte payloads; receives match on (source, tag) with
-// MPI-style wildcards and preserve per-(source,tag) FIFO order, mirroring
-// MPI's non-overtaking guarantee.
+// Messages are tagged byte payloads; receives match (context, source, tag)
+// exactly and preserve per-(source,tag) FIFO order, mirroring MPI's
+// non-overtaking guarantee.
 #pragma once
 
 #include <condition_variable>
@@ -14,11 +14,8 @@
 
 namespace svmmpi {
 
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
-
 struct Message {
-  int context = 0;  ///< communicator context id; exact match, no wildcard
+  int context = 0;  ///< communicator context id
   int source = 0;   ///< sender's rank within that communicator
   int tag = 0;
   std::uint64_t flow_id = 0;  ///< trace flow correlation id; 0 = untraced
@@ -53,15 +50,14 @@ class Mailbox {
 
   void push(Message message);
 
-  /// Blocks until a message matching (context, source, tag) is available and
-  /// removes it. Wildcards kAnySource/kAnyTag match anything; context always
-  /// matches exactly. Throws WorldAborted if abort() is called while waiting,
-  /// and TimeoutError naming (rank, source, tag) once the configured deadline
-  /// elapses with no matching message. When `interrupt` is provided and
-  /// becomes true while waiting (re-checked whenever poke() fires), pop
-  /// throws RendezvousInterrupted — the elastic path uses this to wake a
-  /// receiver whose awaited peer has been marked failed, without waiting for
-  /// the full deadline.
+  /// Blocks until a message matching (context, source, tag) exactly is
+  /// available and removes it. Throws WorldAborted if abort() is called
+  /// while waiting, and TimeoutError naming (rank, source, tag) once the
+  /// configured deadline elapses with no matching message. When `interrupt`
+  /// is provided and becomes true while waiting (re-checked whenever poke()
+  /// fires), pop throws RendezvousInterrupted — the elastic path uses this
+  /// to wake a receiver whose awaited peer has been marked failed, without
+  /// waiting for the full deadline.
   [[nodiscard]] Message pop(int context, int source, int tag,
                             const std::function<bool()>& interrupt = {});
 

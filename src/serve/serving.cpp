@@ -266,7 +266,7 @@ void worker_body(Comm& comm, const svmcore::SvmModel& model, const ServeOptions&
       svmobs::TraceSpan span("serve_eval", "serve");
       svmkernel::KernelEngine& eng =
           (batch.header.degraded != 0 && degraded) ? *degraded : engine;
-      eng.eval_block_rows(batch.spans, batch.sq_norms, coeffs, partials, /*parallel=*/false);
+      eng.eval_block_rows(batch.spans, batch.sq_norms, coeffs, partials);
     }
     try {
       comm.send<double>(partials, 0, batch.header.reply_tag);

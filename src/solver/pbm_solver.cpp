@@ -228,8 +228,7 @@ void PbmSolver::apply_cross_block_deltas(const std::vector<std::uint32_t>& chang
     for (std::size_t i = 0; i < blk.size(); ++i) targets[i] = static_cast<std::uint32_t>(i);
     engine_.eval_block_rows(rows, sq_norms, coeffs, targets, blk.begin,
                             std::span<double>(dgamma_.data() + (blk.begin - span_.begin),
-                                              blk.size()),
-                            config_.openmp_gamma);
+                                              blk.size()));
   }
 }
 
@@ -462,7 +461,7 @@ void PbmSolver::polish() {
     const double coef_up = data_.y[g_up] * delta_up;
     const double coef_low = data_.y[g_low] * delta_low;
     engine_.eval_pair_range(row_up, sq_up, row_low, sq_low, span_.begin, span_.end, k_up_,
-                            k_low_, config_.openmp_gamma);
+                            k_low_);
     for (std::size_t i = 0; i < span_.size(); ++i)
       gamma_[i] += coef_up * k_up_[i] + coef_low * k_low_[i];
     polish_iterations_.add();

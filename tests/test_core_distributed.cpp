@@ -138,26 +138,6 @@ TEST(Distributed, ModeledTimeDecreasesWithRanksOnFixedProblem) {
   EXPECT_LT(t8, t1);
 }
 
-TEST(Distributed, OpenmpGammaPathIsBitwiseEquivalent) {
-  // The hybrid OpenMP gamma update touches disjoint entries with identical
-  // arithmetic, so it must reproduce the serial path exactly.
-  const Dataset d = medium_dataset();
-  const SolverParams params = rbf_params();
-  TrainOptions serial;
-  serial.num_ranks = 2;
-  serial.heuristic = svmcore::Heuristic::parse("Multi5pc");
-  TrainOptions hybrid = serial;
-  hybrid.openmp_gamma = true;
-  const TrainResult a = svmcore::train(d, params, serial);
-  const TrainResult b = svmcore::train(d, params, hybrid);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.samples_shrunk, b.samples_shrunk);
-  EXPECT_EQ(a.beta, b.beta);
-  ASSERT_EQ(a.model.num_support_vectors(), b.model.num_support_vectors());
-  for (std::size_t j = 0; j < a.model.num_support_vectors(); ++j)
-    EXPECT_EQ(a.model.coefficients()[j], b.model.coefficients()[j]);
-}
-
 TEST(Distributed, ActiveTraceRecordsShrinkingCurve) {
   const Dataset d = medium_dataset();
   TrainOptions options;
@@ -211,19 +191,6 @@ TEST(Distributed, OneSamplePerRankEdgeCase) {
   const TrainResult s = svmcore::train(d, rbf_params(), options);
   EXPECT_TRUE(s.converged);
   EXPECT_NEAR(s.beta, r.beta, 1e-9);
-}
-
-TEST(Distributed, OpenmpGammaMatchesOnOriginalToo) {
-  const Dataset d = medium_dataset();
-  const SolverParams params = rbf_params();
-  TrainOptions serial;
-  serial.num_ranks = 3;
-  TrainOptions hybrid = serial;
-  hybrid.openmp_gamma = true;
-  const TrainResult a = svmcore::train(d, params, serial);
-  const TrainResult b = svmcore::train(d, params, hybrid);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.beta, b.beta);
 }
 
 TEST(Distributed, TrafficScalesWithIterations) {

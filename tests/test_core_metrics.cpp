@@ -97,7 +97,7 @@ TEST_P(DistributedPredictP, MatchesSerialEvaluation) {
   const auto& model = result.model;
 
   // Serial reference.
-  const auto serial = svmcore::confusion(model.predict_all(test.X, false), test.y);
+  const auto serial = svmcore::confusion(model.predict_all(test.X), test.y);
 
   // Distributed evaluation on GetParam() ranks.
   std::vector<ConfusionMatrix> per_rank(GetParam());

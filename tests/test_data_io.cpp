@@ -161,65 +161,6 @@ TEST(LibsvmIo, RoundTripExact) {
   }
 }
 
-class SliceP : public ::testing::TestWithParam<int> {};
-
-TEST_P(SliceP, SlicesConcatenateToWholeFile) {
-  const Dataset original =
-      svmdata::synthetic::gaussian_blobs({.n = 97, .d = 5, .separation = 2.0, .seed = 7});
-  const int p = GetParam();
-  // Path must be unique per instance: ctest runs the instances concurrently.
-  const std::string path =
-      ::testing::TempDir() + "/slices_p" + std::to_string(p) + ".libsvm";
-  svmdata::write_libsvm_file(path, original);
-  Dataset reassembled;
-  for (int r = 0; r < p; ++r) {
-    const Dataset slice = svmdata::read_libsvm_slice(path, r, p);
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-      reassembled.X.add_row(slice.X.row(i));
-      reassembled.y.push_back(slice.y[i]);
-    }
-  }
-  ASSERT_EQ(reassembled.size(), original.size());
-  EXPECT_EQ(reassembled.X.nonzeros(), original.X.nonzeros());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(reassembled.y[i], original.y[i]);
-    ASSERT_EQ(reassembled.X.row(i).size(), original.X.row(i).size());
-    for (std::size_t k = 0; k < original.X.row(i).size(); ++k)
-      EXPECT_EQ(reassembled.X.row(i)[k].value, original.X.row(i)[k].value);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, SliceP, ::testing::Values(1, 2, 3, 7, 16));
-
-TEST(LibsvmSlice, MorePartsThanLinesLeavesSomeEmpty) {
-  std::ostringstream data;
-  data << "+1 1:1\n-1 1:2\n";
-  const std::string path = ::testing::TempDir() + "/two_lines.libsvm";
-  {
-    std::ofstream out(path);
-    out << data.str();
-  }
-  std::size_t total = 0;
-  for (int r = 0; r < 8; ++r) total += svmdata::read_libsvm_slice(path, r, 8).size();
-  EXPECT_EQ(total, 2u);
-}
-
-TEST(LibsvmSlice, FileWithoutTrailingNewline) {
-  const std::string path = ::testing::TempDir() + "/no_newline.libsvm";
-  {
-    std::ofstream out(path);
-    out << "+1 1:1\n-1 1:2\n+1 2:3";  // last line unterminated
-  }
-  std::size_t total = 0;
-  for (int r = 0; r < 3; ++r) total += svmdata::read_libsvm_slice(path, r, 3).size();
-  EXPECT_EQ(total, 3u);
-}
-
-TEST(LibsvmSlice, InvalidRankThrows) {
-  EXPECT_THROW((void)svmdata::read_libsvm_slice("/nonexistent", 0, 0), std::runtime_error);
-  EXPECT_THROW((void)svmdata::read_libsvm_slice("/nonexistent", 2, 2), std::runtime_error);
-}
-
 TEST(LibsvmIo, MissingFileThrows) {
   EXPECT_THROW((void)svmdata::read_libsvm_file("/nonexistent/path.svm"), std::runtime_error);
 }

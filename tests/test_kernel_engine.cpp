@@ -164,7 +164,7 @@ TEST_P(EngineParityP, PairRowsBitIdenticalAcrossBackends) {
     ref.eval_pair_rows(d.X.row(up), ref.sq_norm(up), d.X.row(low), ref.sq_norm(low), rows,
                        0, a_up, a_low);
     fused.eval_pair_rows(d.X.row(up), fused.sq_norm(up), d.X.row(low), fused.sq_norm(low),
-                         rows, 0, b_up, b_low, /*parallel=*/true);
+                         rows, 0, b_up, b_low);
     for (std::size_t k = 0; k < rows.size(); ++k) {
       EXPECT_EQ(a_up[k], b_up[k]) << "pair (" << up << "," << low << ") row " << rows[k];
       EXPECT_EQ(a_low[k], b_low[k]) << "pair (" << up << "," << low << ") row " << rows[k];
@@ -181,7 +181,7 @@ TEST_P(EngineParityP, EvalRowsAndRangeBitIdenticalAcrossBackends) {
   const std::size_t n = d.size();
   std::vector<double> a(n), b(n);
   ref.eval_rows(d.X.row(7), ref.sq_norm(7), 0, n, a);
-  fused.eval_rows(d.X.row(7), fused.sq_norm(7), 0, n, b, /*parallel=*/true);
+  fused.eval_rows(d.X.row(7), fused.sq_norm(7), 0, n, b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(a[i], b[i]);
 
   // eval_pair_range == eval_pair_rows over the contiguous index list.
@@ -318,9 +318,9 @@ TEST(KernelEngineTest, StatsCountBatchedWork) {
 TEST(KernelEngineTest, BlockRowsSimdPanelBitIdenticalToReference) {
   // The reference backend's eval_block_rows is the serial reconstruction
   // ring's per-stale-sample loop. Every other backend must land on exactly
-  // its bits: the simd panel branch and both dense_scatter orientations,
-  // with and without `parallel` — same finish_from_dot funnel, same
-  // ascending accumulation order, f64 resident rows.
+  // its bits: the simd panel branch and both dense_scatter orientations —
+  // same finish_from_dot funnel, same ascending accumulation order, f64
+  // resident rows.
   svmdata::synthetic::BlobsParams bp;
   bp.n = 37;  // not a multiple of the panel width: exercises the tail panel
   bp.d = 12;
@@ -351,15 +351,13 @@ TEST(KernelEngineTest, BlockRowsSimdPanelBitIdenticalToReference) {
       std::vector<double> expect(rows.size(), 0.25);
       ref.eval_block_rows(block, block_sq, block_coeffs, rows, 0, expect);
       for (const EngineBackend backend : {EngineBackend::dense_scatter, EngineBackend::simd}) {
-        for (const bool parallel : {false, true}) {
-          SCOPED_TRACE(to_string(type) + " " + to_string(backend) + " stale=" +
-                       std::to_string(rows.size()) + (parallel ? " parallel" : ""));
-          KernelEngine engine(kernel, X, backend, 0, RowFlavor::f64);
-          std::vector<double> got(rows.size(), 0.25);
-          engine.eval_block_rows(block, block_sq, block_coeffs, rows, 0, got, parallel);
-          for (std::size_t w = 0; w < rows.size(); ++w)
-            EXPECT_EQ(got[w], expect[w]) << "stale row " << rows[w];
-        }
+        SCOPED_TRACE(to_string(type) + " " + to_string(backend) + " stale=" +
+                     std::to_string(rows.size()));
+        KernelEngine engine(kernel, X, backend, 0, RowFlavor::f64);
+        std::vector<double> got(rows.size(), 0.25);
+        engine.eval_block_rows(block, block_sq, block_coeffs, rows, 0, got);
+        for (std::size_t w = 0; w < rows.size(); ++w)
+          EXPECT_EQ(got[w], expect[w]) << "stale row " << rows[w];
       }
     }
   }
@@ -441,24 +439,6 @@ TEST(KernelEngineTest, AutomaticTakesPanelsOnDenseRowsAndScatterOnSparseRows) {
 
 constexpr EngineBackend kEveryPath[] = {EngineBackend::reference, EngineBackend::dense_scatter,
                                         EngineBackend::simd, EngineBackend::automatic};
-
-TEST(RowEval, ParallelEqualsSerial) {
-  // Sparse rows and dense rows: each side of the automatic rule.
-  for (const Dataset& d : {parity_dataset(), svmdata::synthetic::gaussian_blobs(
-                                                 {.n = 30, .d = 6, .separation = 2.0,
-                                                  .seed = 17})}) {
-    const Kernel kernel(params_for(KernelType::rbf));
-    for (const EngineBackend path : kEveryPath) {
-      SCOPED_TRACE(to_string(path));
-      KernelEngine engine(kernel, d.X, path);
-      std::vector<double> serial(d.size()), parallel(d.size());
-      engine.eval_rows(d.X.row(0), engine.sq_norm(0), 0, d.size(), serial);
-      engine.eval_rows(d.X.row(0), engine.sq_norm(0), 0, d.size(), parallel,
-                       /*parallel=*/true);
-      for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(serial[i], parallel[i]) << i;
-    }
-  }
-}
 
 TEST(RowEval, SubrangeOffsets) {
   const Dataset d =

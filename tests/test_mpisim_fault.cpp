@@ -21,8 +21,6 @@ using svmmpi::FaultAction;
 using svmmpi::FaultInjector;
 using svmmpi::FaultPlan;
 using svmmpi::FaultSite;
-using svmmpi::kAnySource;
-using svmmpi::kAnyTag;
 using svmmpi::Mailbox;
 using svmmpi::Message;
 using svmmpi::NetModel;
@@ -242,29 +240,31 @@ TEST(Abort, SiblingFailurePropagatesThroughIrecvWaitAll) {
   }
 }
 
-// --- mailbox wildcard matching ---------------------------------------------
+// --- mailbox matching -------------------------------------------------------
 
-TEST(MailboxTryPop, WildcardsMatchAnySourceAndTag) {
+TEST(MailboxTryPop, MatchesContextSourceAndTagExactly) {
   Mailbox box(/*owner_rank=*/0);
   box.push(Message{.context = 0, .source = 2, .tag = 7, .payload = {}});
   box.push(Message{.context = 0, .source = 3, .tag = 9, .payload = {}});
   box.push(Message{.context = 1, .source = 2, .tag = 7, .payload = {}});
 
   Message out;
-  // Exact mismatch: nothing with (source=5).
-  EXPECT_FALSE(box.try_pop(0, 5, kAnyTag, out));
-  // Context always matches exactly, even with both wildcards.
-  EXPECT_FALSE(box.try_pop(2, kAnySource, kAnyTag, out));
+  // Source mismatch: nothing from source 5.
+  EXPECT_FALSE(box.try_pop(0, 5, 7, out));
+  // Tag mismatch: source 2 sent tag 7, not 9.
+  EXPECT_FALSE(box.try_pop(0, 2, 9, out));
+  // Context mismatch: nothing in context 2.
+  EXPECT_FALSE(box.try_pop(2, 2, 7, out));
 
-  // Wildcard source, exact tag.
-  ASSERT_TRUE(box.try_pop(0, kAnySource, 9, out));
+  ASSERT_TRUE(box.try_pop(0, 3, 9, out));
   EXPECT_EQ(out.source, 3);
-  // Exact source, wildcard tag.
-  ASSERT_TRUE(box.try_pop(0, 2, kAnyTag, out));
-  EXPECT_EQ(out.tag, 7);
-  // Both wildcards: the remaining context-1 message only matches context 1.
-  EXPECT_FALSE(box.try_pop(0, kAnySource, kAnyTag, out));
-  ASSERT_TRUE(box.try_pop(1, kAnySource, kAnyTag, out));
+  EXPECT_EQ(out.tag, 9);
+  // (2, 7) is queued in contexts 0 and 1; each context takes only its own.
+  ASSERT_TRUE(box.try_pop(0, 2, 7, out));
+  EXPECT_EQ(out.context, 0);
+  EXPECT_FALSE(box.try_pop(0, 2, 7, out));
+  ASSERT_TRUE(box.try_pop(1, 2, 7, out));
+  EXPECT_EQ(out.context, 1);
   EXPECT_EQ(box.pending(), 0u);
 }
 

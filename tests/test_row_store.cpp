@@ -6,10 +6,7 @@
 //  - the software binary16 codec is exact on representables and correctly
 //    rounded elsewhere,
 //  - f16/i8 quantization error is bounded,
-//  - the flavored KernelRowCache charges encoded bytes and decodes
-//    deterministically,
-//  - flavored rows only go where they are encoded (panels or a Q-row
-//    cache),
+//  - flavored rows only go where they are encoded (the panels),
 //  - flavored prediction passes its accuracy gates end to end.
 #include <gtest/gtest.h>
 
@@ -23,7 +20,6 @@
 
 #include "core/trainer.hpp"
 #include "data/zoo.hpp"
-#include "kernel/kernel_cache.hpp"
 #include "kernel/kernel_engine.hpp"
 #include "kernel/row_store.hpp"
 #include "kernel/simd.hpp"
@@ -32,7 +28,6 @@ namespace {
 
 using svmdata::Dataset;
 using svmkernel::EngineBackend;
-using svmkernel::KernelRowCache;
 using svmkernel::RowFlavor;
 using svmkernel::RowStore;
 
@@ -299,74 +294,6 @@ TEST(RowStoreQuantized, BytesResidentScaleWithFlavor) {
   EXPECT_GE(i8_bytes, f16_bytes / 2);
 }
 
-// --- flavored row cache -----------------------------------------------------
-
-TEST(FlavoredCache, ChargesEncodedBytes) {
-  const std::size_t len = 100;
-  std::vector<float> row(len, 1.25f);
-  for (const auto& [flavor, per_row] :
-       {std::pair{RowFlavor::f32, len * 4}, std::pair{RowFlavor::f16, len * 2},
-        std::pair{RowFlavor::i8, len * 1 + sizeof(float)}}) {
-    KernelRowCache cache(1 << 20, flavor);
-    ASSERT_TRUE(cache.lookup(0).empty());
-    cache.insert(0, row);
-    EXPECT_EQ(cache.bytes_used(), per_row) << svmkernel::to_string(flavor);
-    EXPECT_EQ(cache.bytes_resident(), cache.bytes_used());
-  }
-}
-
-TEST(FlavoredCache, CompactFlavorHoldsMoreRowsUnderSameBudget) {
-  const std::size_t len = 64;
-  const std::size_t budget = len * 4 * 4;  // exactly 4 f32 rows
-  std::vector<float> row(len, 0.5f);
-  KernelRowCache f32_cache(budget, RowFlavor::f32);
-  KernelRowCache i8_cache(budget, RowFlavor::i8);
-  for (std::size_t i = 0; i < 12; ++i) {
-    ASSERT_TRUE(f32_cache.lookup(i).empty());
-    f32_cache.insert(i, row);
-    ASSERT_TRUE(i8_cache.lookup(i).empty());
-    i8_cache.insert(i, row);
-  }
-  EXPECT_EQ(f32_cache.entries(), 4u);
-  EXPECT_GT(i8_cache.entries(), 8u);  // ~4x density (len + 4 bytes per row)
-  EXPECT_LE(f32_cache.bytes_used(), budget);
-  EXPECT_LE(i8_cache.bytes_used(), budget);
-}
-
-TEST(FlavoredCache, DecodeIsDeterministicAcrossHits) {
-  std::mt19937 rng(11);
-  std::uniform_real_distribution<float> value(-3.0f, 3.0f);
-  std::vector<float> row(33);
-  for (float& v : row) v = value(rng);
-
-  for (const RowFlavor flavor : {RowFlavor::f16, RowFlavor::i8}) {
-    KernelRowCache cache(1 << 20, flavor);
-    ASSERT_TRUE(cache.lookup(7).empty());
-    cache.insert(7, row);
-    const auto first = cache.lookup(7);
-    ASSERT_EQ(first.size(), row.size());
-    std::vector<float> snapshot(first.begin(), first.end());
-    const auto second = cache.lookup(7);
-    for (std::size_t i = 0; i < row.size(); ++i)
-      EXPECT_EQ(second[i], snapshot[i]) << svmkernel::to_string(flavor) << " elem " << i;
-    // And the decode is close to the original.
-    const float amax = 3.0f;
-    const float tol = flavor == RowFlavor::f16 ? amax / 1024.0f : amax / 127.0f;
-    for (std::size_t i = 0; i < row.size(); ++i)
-      EXPECT_NEAR(second[i], row[i], tol) << svmkernel::to_string(flavor) << " elem " << i;
-  }
-}
-
-TEST(FlavoredCache, F32FlavorIsBitExact) {
-  std::vector<float> row = {1.0f, -2.5f, 3.25f, 0.0f, -0.125f};
-  KernelRowCache cache(1 << 16, RowFlavor::f32);
-  ASSERT_TRUE(cache.lookup(0).empty());
-  cache.insert(0, row);
-  const auto got = cache.lookup(0);
-  ASSERT_EQ(got.size(), row.size());
-  for (std::size_t i = 0; i < row.size(); ++i) EXPECT_EQ(got[i], row[i]);
-}
-
 // --- flavor policy enforcement ---------------------------------------------
 
 TEST(FlavorPolicy, ScalarBackendsRejectFlavoredRows) {
@@ -379,13 +306,14 @@ TEST(FlavorPolicy, ScalarBackendsRejectFlavoredRows) {
   EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::reference, 0, 10, 1 << 16,
                                        RowFlavor::f16),
                std::invalid_argument);
-  // dense_scatter encodes only cached Q rows, so it needs a budget to encode
-  // into (the libsvm-style baselines' compressed Q rows).
+  // dense_scatter has no panels to encode, and its Q-row cache holds exact
+  // float rows, with or without a budget.
   EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::dense_scatter, 0, 10, 0,
                                        RowFlavor::i8),
                std::invalid_argument);
-  EXPECT_NO_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::dense_scatter, 0, 10,
-                                          1 << 16, RowFlavor::f16));
+  EXPECT_THROW(svmkernel::KernelEngine(kernel, X, EngineBackend::dense_scatter, 0, 10,
+                                       1 << 16, RowFlavor::f16),
+               std::invalid_argument);
   // The panels accept every flavor; f64 there stays bit-exact.
   EXPECT_NO_THROW(
       svmkernel::KernelEngine(kernel, X, EngineBackend::simd, 0, 10, 0, RowFlavor::i8));
